@@ -239,10 +239,11 @@ class AVWGCN(Module):
         supports = [Tensor(np.eye(num_nodes)), adjacency]
         for _ in range(2, self.cheb_k):
             supports.append(2.0 * adjacency.matmul(supports[-1]) - supports[-2])
-        supports = supports[: self.cheb_k]
 
-        # (B, N, K * C_in): concatenate the propagated signals over supports.
-        propagated = F.cat([support.matmul(x) for support in supports], axis=-1)
+        # (B, N, K * C_in): the propagated signals over supports; T_0 x is x.
+        propagated = F.cat(
+            [x] + [support.matmul(x) for support in supports[1 : self.cheb_k]], axis=-1
+        )
 
         # Node-adaptive weights: (N, K*C_in, C_out) generated from embeddings.
         weights = embeddings.matmul(self.weight_pool).reshape(
@@ -250,6 +251,6 @@ class AVWGCN(Module):
         )
         bias = embeddings.matmul(self.bias_pool)  # (N, C_out)
 
-        # Batched per-node contraction: (B, N, 1, K*C_in) @ (N, K*C_in, C_out).
-        out = propagated.unsqueeze(2).matmul(weights).squeeze(2)
+        # One GEMM per node: (N, B, K*C_in) @ (N, K*C_in, C_out) -> (B, N, C_out).
+        out = propagated.transpose(1, 0, 2).matmul(weights).transpose(1, 0, 2)
         return out + bias

@@ -53,6 +53,11 @@ class MicroBatcher:
     draining the queue until either ``max_batch_size`` requests are collected
     or ``max_wait_ms`` has elapsed since the first one — the classic
     size-or-deadline micro-batching policy of production model servers.
+
+    Requests that arrive together (:meth:`put_group`) are one queue item, so
+    the dispatcher never sees half of them.  A group is cut into full
+    batches whatever ``max_wait_ms`` is; only its last, partial batch waits
+    for more requests.
     """
 
     def __init__(self, max_batch_size: int = 64, max_wait_ms: float = 2.0) -> None:
@@ -62,7 +67,11 @@ class MicroBatcher:
             raise ValueError("max_wait_ms must be >= 0")
         self.max_batch_size = int(max_batch_size)
         self.max_wait_ms = float(max_wait_ms)
+        # Items: one InferenceRequest, a list of them (a group), or _Shutdown.
         self._queue: "queue.Queue" = queue.Queue()
+        # The rest of a group cut at max_batch_size; only next_batch's
+        # (single) consumer thread touches it.
+        self._carry: List[InferenceRequest] = []
         self._closed = threading.Event()
 
     def submit(
@@ -86,10 +95,27 @@ class MicroBatcher:
         self._queue.put(request)
         return request.future
 
+    def put_group(self, requests: List[InferenceRequest]) -> None:
+        """Enqueue requests that arrived together as one queue operation.
+
+        The batcher takes the list over (it becomes a batch, or part of
+        one); the caller must not reuse it.
+        """
+        if self._closed.is_set():
+            raise RuntimeError("batcher is closed")
+        if requests:
+            self._queue.put(requests)
+
     @property
     def depth(self) -> int:
-        """Requests currently waiting in the queue (approximate, lock-free)."""
-        return self._queue.qsize()
+        """Requests currently waiting to be batched (approximate)."""
+        with self._queue.mutex:
+            queued = sum(
+                len(item) if isinstance(item, list) else 1
+                for item in self._queue.queue
+                if not isinstance(item, _Shutdown)
+            )
+        return queued + len(self._carry)
 
     def close(self) -> None:
         """Wake up the dispatcher and refuse further submissions."""
@@ -105,15 +131,18 @@ class MicroBatcher:
 
         ``poll_timeout`` bounds how long the call blocks waiting for the
         *first* request; once one arrives the batch closes after at most
-        ``max_wait_ms`` more milliseconds.
+        ``max_wait_ms`` more milliseconds.  The rest of a group that
+        overfills the batch opens the next one, without waiting.
         """
-        try:
-            first = self._queue.get(timeout=poll_timeout)
-        except queue.Empty:
-            return [] if not self._closed.is_set() else None
-        if isinstance(first, _Shutdown):
-            return None
-        batch = [first]
+        batch, self._carry = self._carry, []
+        if not batch:
+            try:
+                first = self._queue.get(timeout=poll_timeout)
+            except queue.Empty:
+                return [] if not self._closed.is_set() else None
+            if isinstance(first, _Shutdown):
+                return None
+            batch = _as_requests(first)
         deadline = time.perf_counter() + self.max_wait_ms / 1000.0
         while len(batch) < self.max_batch_size:
             remaining = deadline - time.perf_counter()
@@ -127,5 +156,13 @@ class MicroBatcher:
                 # Preserve the shutdown signal for the next next_batch() call.
                 self._queue.put(item)
                 break
-            batch.append(item)
+            batch.extend(_as_requests(item))
+        if len(batch) > self.max_batch_size:
+            self._carry = batch[self.max_batch_size :]
+            del batch[self.max_batch_size :]
         return batch
+
+
+def _as_requests(item: Any) -> List[InferenceRequest]:
+    """A queue item as a list of requests (a group's list is the batcher's own)."""
+    return item if isinstance(item, list) else [item]

@@ -328,29 +328,31 @@ class InferenceServer:
             # Routed inside the running check: a rejected submit must not
             # charge stateful routers (deficit counters track *served*
             # traffic, or a TrafficSplitRouter's realized shares drift).
-            return self._route_and_enqueue(window, key, deployment)
+            request = self._route(window, key, deployment)
+            self.batcher.put_group([request])
+        return request.future
 
-    def _route_and_enqueue(
+    def _route(
         self, window: np.ndarray, key: Optional[Any], deployment: Optional[str]
-    ) -> Future:
-        """Route one validated window and enqueue it (caller holds the lock)."""
+    ) -> InferenceRequest:
+        """Route one validated window into a tracked request (caller holds the lock)."""
         if deployment is not None:
             decision = RouteDecision(primary=deployment)
         else:
             decision = self.router.route(window, key=key)
         # Cross-thread trace handoff: capture this thread's active span so
         # the batch worker can parent its batch/model spans under it.
-        future = self.batcher.submit(
-            window,
+        request = InferenceRequest(
+            window=window,
             key=key,
             primary=decision.primary,
-            shadows=decision.shadows,
+            shadows=tuple(decision.shadows),
             trace=current_context(),
         )
         with self._futures_lock:
-            self._outstanding.add(future)
-        future.add_done_callback(self._discard_outstanding)
-        return future
+            self._outstanding.add(request.future)
+        request.future.add_done_callback(self._discard_outstanding)
+        return request
 
     def _discard_outstanding(self, future: Future) -> None:
         with self._futures_lock:
@@ -364,12 +366,14 @@ class InferenceServer:
     ) -> List[Future]:
         """Queue a same-tick batch of windows in one shot; returns the futures.
 
-        The batch-submit path the fleet tick uses: all windows are routed and
-        enqueued under a single lock acquisition, so they land in the
-        micro-batcher back-to-back and coalesce into ``O(ceil(N / batch))``
-        model calls instead of N.  ``keys`` (per-window routing keys) and
-        ``deployments`` (per-window pinned deployments, ``None`` entries fall
-        through to the router) align with ``windows`` when given.
+        The batch-submit path the fleet tick uses: all windows are routed
+        under a single lock acquisition and enqueued as one micro-batcher
+        group, which is cut into full batches however the dispatcher's wait
+        window falls.  N windows behind an empty queue make exactly
+        ``ceil(N / max_batch_size)`` batches instead of N.  ``keys``
+        (per-window routing keys) and ``deployments`` (per-window pinned
+        deployments, ``None`` entries fall through to the router) align with
+        ``windows`` when given.
         """
         windows = [np.asarray(window, dtype=np.float64) for window in windows]
         for window in windows:
@@ -386,14 +390,17 @@ class InferenceServer:
                 raise RuntimeError(
                     "server is not running; call start() or use it as a context manager"
                 )
-            return [
-                self._route_and_enqueue(
+            requests = [
+                self._route(
                     window,
                     keys[index] if keys is not None else None,
                     deployments[index] if deployments is not None else None,
                 )
                 for index, window in enumerate(windows)
             ]
+            futures = [request.future for request in requests]
+            self.batcher.put_group(requests)  # hands the list over
+        return futures
 
     def predict_many(
         self,
@@ -569,10 +576,12 @@ class InferenceServer:
                 # Outside the predict lock: a *blocking* injector must stall
                 # only this group's worker, not every deployment's forwards.
                 injector(deployment.name, stacked)
-            forward_start = time.perf_counter()
             with self._predict_lock:
+                # Timed inside the lock: waiting for another group's forward
+                # is queueing, not this group's model time.
+                forward_start = time.perf_counter()
                 result = deployment.predict_fn(stacked)
-            forward_end = time.perf_counter()
+                forward_end = time.perf_counter()
             model_interval = (forward_start, forward_end)
             if not shadow:
                 record_phase(

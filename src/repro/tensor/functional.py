@@ -171,13 +171,40 @@ def log_softmax(x: ArrayLike, axis: int = -1) -> Tensor:
 
 
 def dropout_mask(
-    shape: Tuple[int, ...], rate: float, rng: np.random.Generator
+    shape: Tuple[int, ...],
+    rate: float,
+    rng: Union[np.random.Generator, Sequence[np.random.Generator]],
 ) -> np.ndarray:
-    """Sample an inverted-dropout mask (scaled by ``1 / keep_prob``)."""
+    """Sample an inverted-dropout mask (scaled by ``1 / keep_prob``).
+
+    ``rng`` may be a sequence of generators: the leading axis is then split
+    into that many equal slabs and slab ``s`` is drawn from ``rng[s]``.  Each
+    slab is exactly the mask a separate call with ``rng[s]`` and the slab's
+    shape returns.  All slabs are drawn into one buffer, which is then
+    thresholded and scaled in place.
+    """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    mask = np.empty(shape)
+    if isinstance(rng, np.random.Generator):
+        rng.random(out=mask)
+    else:
+        streams = list(rng)
+        if shape[0] % len(streams) != 0:
+            raise ValueError(
+                f"a mask of {shape[0]} rows does not split into {len(streams)} equal slabs"
+            )
+        # Row s of this view is slab s, flat in C order: the order a draw
+        # of the slab's own shape fills it in.
+        slabs = mask.reshape(len(streams), mask.size // len(streams))
+        for stream, slab in zip(streams, slabs):
+            stream.random(out=slab)
     keep = 1.0 - rate
-    return (rng.random(shape) < keep).astype(np.float64) / keep
+    np.less(mask, keep, out=mask)
+    # The mask holds 0s and 1s here, so scaling by 1 / keep rounds exactly
+    # like dividing by keep, and a multiply is cheaper than a divide.
+    mask *= 1.0 / keep
+    return mask
 
 
 def gaussian_nll(

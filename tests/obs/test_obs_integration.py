@@ -7,14 +7,17 @@ bitwise, then assert the enabled run actually produced the promised
 telemetry (tick traces, phase timings, drift events).
 """
 
+import time
+
 import numpy as np
 
 import repro.obs as obs
+from repro.core.inference import PredictionResult
 from repro.data import StreamingTrafficFeed
 from repro.fleet import StreamFleet
 from repro.graph import grid_network
 from repro.obs.profiler import profiler
-from repro.obs.trace import trace_store
+from repro.obs.trace import start_trace, trace_store
 from repro.serving import InferenceServer
 from repro.streaming import PersistenceForecaster
 
@@ -97,3 +100,39 @@ def test_enabled_fleet_run_produces_tick_traces_and_phase_timings():
     # The stream cores fed the calibration/monitoring phases too.
     assert "aci_update" in snapshot
     assert "monitor_update" in snapshot
+
+
+def test_model_forward_timing_excludes_waiting_for_the_predict_lock():
+    """Two one-window batches on two workers contend for the predict lock;
+    the phase and the spans must record the forwards, not the second one's
+    wait."""
+    obs.configure(enabled=True, seed=0, log_sink=False)
+    slept = []
+
+    def sleepy_predict(windows):
+        start = time.perf_counter()
+        time.sleep(0.1)
+        slept.append(time.perf_counter() - start)
+        mean = np.zeros((len(windows), HORIZON, windows.shape[2]))
+        return PredictionResult(mean=mean, aleatoric_var=mean + 1.0, epistemic_var=mean)
+
+    with InferenceServer(
+        sleepy_predict, max_batch_size=1, num_workers=2, cache_size=0
+    ) as server:
+        with start_trace("test.submit"):
+            futures = server.submit_many([np.zeros((HISTORY, 4))] * 2)
+        for future in futures:
+            future.result(timeout=10.0)
+
+    assert len(slept) == 2
+    recorded = profiler().snapshot()["model_forward"]
+    assert recorded["count"] == 2
+    assert abs(recorded["total_s"] - sum(slept)) <= 0.1 * sum(slept)
+    (trace_id,) = trace_store().trace_ids()
+    forwards = [
+        span.duration
+        for span in trace_store().spans(trace_id)
+        if span.name == "model.forward"
+    ]
+    assert len(forwards) == 2
+    assert abs(sum(forwards) - sum(slept)) <= 0.1 * sum(slept)

@@ -5,8 +5,9 @@ that race lands *behind* the shutdown sentinel.  Two mechanisms keep it
 from being dropped: ``next_batch`` re-queues a sentinel it meets mid-batch
 (pushing it behind whatever the race left after it), and the server's
 dispatcher runs a final drain pass (``poll_timeout=0.0``) after seeing the
-shutdown.  These tests pin both paths by staging the queue exactly as the
-race would leave it.
+shutdown.  A ``submit_many`` group (one queue item) can lose the same race.
+These tests pin both paths by staging the queue exactly as the race would
+leave it.
 """
 
 import numpy as np
@@ -52,6 +53,20 @@ class TestMidBatchSentinel:
         assert batcher.next_batch(poll_timeout=0.1) is None
 
 
+    def test_group_behind_the_sentinel_survives_the_requeue(self):
+        batcher = MicroBatcher(max_batch_size=2, max_wait_ms=50.0)
+        batcher.submit(_window(1))
+        batcher.close()
+        batcher._queue.put([_race_request(2), _race_request(3), _race_request(4)])
+        # Queue: [w1, Shutdown, group(2, 3, 4)].  The sentinel is re-queued
+        # behind the group, which is then cut at max_batch_size; its rest
+        # still comes before the shutdown is reported.
+        assert _tags(batcher.next_batch(poll_timeout=0.1)) == [1.0]
+        assert _tags(batcher.next_batch(poll_timeout=0.1)) == [2.0, 3.0]
+        assert _tags(batcher.next_batch(poll_timeout=0.1)) == [4.0]
+        assert batcher.next_batch(poll_timeout=0.1) is None
+
+
 class TestShutdownDrain:
     def test_drain_pass_recovers_request_behind_the_sentinel(self):
         batcher = MicroBatcher(max_batch_size=8, max_wait_ms=50.0)
@@ -62,6 +77,15 @@ class TestShutdownDrain:
         assert batcher.next_batch(poll_timeout=0.1) is None
         assert _tags(batcher.next_batch(poll_timeout=0.0)) == [5.0]
         # Nothing else: the drain ends on an empty, still-closed queue.
+        assert batcher.next_batch(poll_timeout=0.0) is None
+
+    def test_drain_pass_recovers_a_whole_group_behind_the_sentinel(self):
+        batcher = MicroBatcher(max_batch_size=2, max_wait_ms=50.0)
+        batcher.close()
+        batcher._queue.put([_race_request(5), _race_request(6), _race_request(7)])
+        assert batcher.next_batch(poll_timeout=0.1) is None
+        assert _tags(batcher.next_batch(poll_timeout=0.0)) == [5.0, 6.0]
+        assert _tags(batcher.next_batch(poll_timeout=0.0)) == [7.0]
         assert batcher.next_batch(poll_timeout=0.0) is None
 
     def test_closed_empty_queue_reports_none_forever(self):

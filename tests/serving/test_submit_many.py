@@ -51,6 +51,22 @@ class TestSubmitMany:
         assert sum(calls) == 32
         assert len(calls) <= 4  # far fewer forwards than windows
 
+    def test_one_call_makes_full_batches_whatever_the_wait(self):
+        """A call's windows are one group: cut at max_batch_size, never split
+        by the dispatcher's wait window closing mid-enqueue."""
+        calls = []
+
+        def predict(windows):
+            calls.append(windows.shape[0])
+            return _predictor(0.0)(windows)
+
+        with InferenceServer(
+            predict, max_batch_size=64, max_wait_ms=0.0, cache_size=0, num_workers=1
+        ) as server:
+            for future in server.submit_many(_windows(200)):
+                future.result(timeout=10.0)
+        assert calls == [64, 64, 64, 8]
+
     def test_keys_route_through_a_key_router(self):
         router = KeyRouter({"north": "n", "south": "s"})
         with InferenceServer(router=router, cache_size=0) as server:

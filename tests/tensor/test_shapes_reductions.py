@@ -252,3 +252,30 @@ class TestLossHelpers:
     def test_dropout_mask_invalid_rate(self):
         with pytest.raises(ValueError):
             F.dropout_mask((3,), rate=1.0, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("rate", [0.0, 0.1, 0.2, 0.3, 0.5, 0.9, 0.999])
+    def test_dropout_mask_bits_match_threshold_then_divide(self, rate):
+        """One buffer, thresholded and scaled in place, is bit for bit the
+        mask of one draw per slab, thresholded, cast and divided by keep."""
+        keep = 1.0 - rate
+        shape, num_streams = (12, 4, 5), 3
+        single = F.dropout_mask(shape, rate, np.random.default_rng(1))
+        expected = (np.random.default_rng(1).random(shape) < keep).astype(np.float64) / keep
+        np.testing.assert_array_equal(single, expected)
+
+        folded = F.dropout_mask(
+            shape, rate, [np.random.default_rng(seed) for seed in range(num_streams)]
+        )
+        slab_shape = (shape[0] // num_streams,) + shape[1:]
+        expected = np.concatenate(
+            [
+                (np.random.default_rng(seed).random(slab_shape) < keep).astype(np.float64) / keep
+                for seed in range(num_streams)
+            ]
+        )
+        np.testing.assert_array_equal(folded, expected)
+
+    def test_dropout_mask_streams_must_split_the_rows(self):
+        streams = [np.random.default_rng(seed) for seed in range(3)]
+        with pytest.raises(ValueError):
+            F.dropout_mask((7, 2), rate=0.5, rng=streams)

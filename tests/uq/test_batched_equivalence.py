@@ -1,8 +1,10 @@
-"""Batched MC inference must match the sequential loop exactly.
+"""Batched MC inference must match the sequential loop.
 
 For every method in ``uq/registry.py`` the vectorized (sample-folded) path
 and the looped reference path are run with the same seed and compared to
-1e-10 on all three :class:`PredictionResult` arrays.  Methods without MC
+1e-10 on all three :class:`PredictionResult` arrays.  The masks are
+bit-identical; the graph convolution's per-node GEMM may round a one-row
+looped chunk differently in the last bit.  Methods without MC
 sampling are covered too: their predictions must be deterministic across
 repeated calls, which is what keeps the serving cache coherent.
 """
