@@ -39,7 +39,7 @@ from repro.serving import InferenceServer
 from repro.streaming import (
     CoverageBreachDetector,
     PersistenceForecaster,
-    PromotionPolicy,
+    RefitPolicy,
     StreamingForecaster,
 )
 
@@ -92,8 +92,8 @@ def run_phase(title: str, steps: int, degrade: bool) -> None:
         server=server,
         refit_fn=refit_fn,
         refit_window=max(shift // 3, 100),
-        cooldown=max(steps // 3, 100),
-        promotion=PromotionPolicy(
+        refit_policy=RefitPolicy(
+            quorum=1, cooldown=max(steps // 3, 100),
             mode="shadow", eval_steps=max(steps // 10, 40),
             coverage_tolerance=0.03,
         ),
@@ -117,7 +117,7 @@ def run_phase(title: str, steps: int, degrade: bool) -> None:
         thread.start()
         for row in feed:
             runner.observe(row)
-        runner.join_refit()
+        runner.join_refit()  # a refit still running is adopted by the next observe
         stop.set()
         thread.join(timeout=10.0)
         resolved = [future.result(timeout=30.0) for future in submitted]

@@ -20,7 +20,7 @@ The script demonstrates the ``repro.fleet`` subsystem end to end:
 3. watch the :class:`~repro.fleet.SpatialDriftAggregator` collapse the
    cluster's correlated per-stream alarms into a single
    ``spatial_incident`` event naming the affected corridors;
-4. watch the :class:`~repro.fleet.RefitCoordinator` answer each region's
+4. watch the :class:`~repro.streaming.RefitCoordinator` answer each region's
    regime shift with ONE budgeted refit: the east region's candidate
    (honestly re-scaled) wins its cross-stream trial and is *promoted* —
    the region's routes re-point atomically — while the west region's
@@ -43,10 +43,10 @@ import numpy as np
 
 from repro.core.inference import PredictionResult
 from repro.data import StreamingTrafficFeed, SyntheticTrafficConfig
-from repro.fleet import FleetRefitPolicy, SpatialDriftAggregator, StreamFleet
+from repro.fleet import SpatialDriftAggregator, StreamFleet
 from repro.graph import grid_network
 from repro.serving import InferenceServer
-from repro.streaming import ErrorCusumDetector, PersistenceForecaster
+from repro.streaming import ErrorCusumDetector, PersistenceForecaster, RefitPolicy
 from repro.utils import format_table
 
 HISTORY, HORIZON = 8, 4
@@ -142,7 +142,7 @@ def main() -> None:
             # tracks the flow level); only a genuine jump accumulates
             detector_factory=lambda: [ErrorCusumDetector(slack=1.5, threshold=30.0, warmup=50)],
             refit_fn=refit_fn,
-            refit_policy=FleetRefitPolicy(
+            refit_policy=RefitPolicy(
                 # roughly half the region must drift together — scattered
                 # single-stream noise never launches a region refit
                 quorum=3 if args.fast else 5,

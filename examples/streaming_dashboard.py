@@ -13,9 +13,10 @@ The script demonstrates the ``repro.streaming`` subsystem end to end:
    one with frozen split-conformal calibration, one with adaptive conformal
    inference (ACI) plus drift detection, a drift-triggered refit (the
    predictive scale is re-estimated from post-shift residuals) and
-   :meth:`~repro.serving.InferenceServer.swap_model` publication;
+   publication to an :class:`~repro.serving.InferenceServer` (the refit is
+   deployed and promoted to the default route at the next step);
 3. print the rolling-coverage timeline — static coverage collapses after
-   the shift while ACI pulls back to ~95% — and the auto-swap event log.
+   the shift while ACI pulls back to ~95% — and the drift, refit and promotion event log.
 
 The persistence baseline keeps the demo model-free and fast; swap in any
 fitted :class:`~repro.api.Forecaster` (``forecaster.stream(...)``) for the
@@ -35,6 +36,7 @@ from repro.streaming import (
     CoverageBreachDetector,
     ErrorCusumDetector,
     PersistenceForecaster,
+    RefitPolicy,
     StreamingForecaster,
     StreamingMonitor,
 )
@@ -77,7 +79,7 @@ def main() -> None:
     runners = {}
     # The static baseline gets *no* detectors: it models yesterday's batch
     # pipeline — calibrate once, freeze, hope.  The ACI loop carries the full
-    # adaptive system: drift alarms, background refit, hot-swap publication.
+    # adaptive system: drift alarms, background refit, deploy + promote publication.
     server = InferenceServer(model.predict, model_version="dashboard-v0", cache_size=0).start()
     runners["static"] = StreamingForecaster(
         model, history=HISTORY, horizon=HORIZON,
@@ -102,7 +104,7 @@ def main() -> None:
         server=server,
         refit_fn=refit_fn,
         refit_window=max(shift // 3, 100),
-        cooldown=max(steps // 3, 100),
+        refit_policy=RefitPolicy(quorum=1, mode="immediate", cooldown=max(steps // 3, 100)),
     )
 
     print("Replaying the stream through both calibration modes ...")
@@ -144,7 +146,7 @@ def main() -> None:
         print(f"  ... (+{remaining} more; the CUSUM alarm keeps re-firing while "
               "the error level stays above its pre-shift baseline)")
     if aci_runner.server is not None:
-        print(f"\nServer model version after auto-swap: {aci_runner.server.model_version}")
+        print(f"\nServer model version after drift-triggered promotion: {aci_runner.server.model_version}")
         aci_runner.server.stop()
 
     print(

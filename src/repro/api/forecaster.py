@@ -180,8 +180,13 @@ class Forecaster:
         :class:`~repro.streaming.StreamingForecaster` that drives
         predict → observe → update with adaptive conformal calibration and
         drift detection; keyword arguments configure it (``aci=``,
-        ``detectors=``, ``server=``, ``refit_fn=``, ...).  Feed observations
-        either through the returned runner or via :meth:`observe`.
+        ``detectors=``, ``server=``, ``refit_fn=``, ``refit_policy=``, ...).
+        Feed observations either through the returned runner or via
+        :meth:`observe`.  A drift-triggered refit is adopted at the first
+        observation after it finishes — immediately, or through a
+        shadow/canary trial, as the
+        :class:`~repro.streaming.RefitPolicy` says — and, with ``server=``,
+        deployed and promoted on that server.
         """
         self._check_fitted()
         from repro.streaming import StreamingForecaster

@@ -20,23 +20,26 @@ inverts the ownership:
   **spatial drift aggregator** (correlated breaches across neighboring
   sensors collapse into one ``spatial_incident`` event instead of N
   independent alarms), **coordinated refit/promotion** (one candidate per
-  drifting region, trialed across all of that region's streams through the
-  deployment/routing machinery, under a refit-storm budget), and
-  **whole-fleet checkpoints** that round-trip every stream's ACI / monitor /
-  event-log state bit-identically.
+  drifting region, trialed across all of that region's streams and
+  published by re-pointing the region's routing keys, under a refit-storm
+  budget), and **whole-fleet checkpoints** that round-trip every stream's
+  ACI / monitor / event-log state bit-identically.
+
+The refit machinery itself — :class:`~repro.streaming.promotion.RefitPolicy`,
+:class:`~repro.streaming.promotion.RefitCoordinator` and
+:class:`~repro.streaming.promotion.Trial` — lives in
+:mod:`repro.streaming.promotion`, below both loops: the one-stream
+:class:`~repro.streaming.StreamingForecaster` runs on it as a one-stream
+region.
 """
 
-from repro.fleet.coordinator import FleetRefitPolicy, RefitCoordinator, RegionTrial
 from repro.fleet.runner import FleetStepResult, StreamFleet
 from repro.fleet.spatial import SpatialDriftAggregator
 from repro.fleet.streams import FleetStream
 
 __all__ = [
-    "FleetRefitPolicy",
     "FleetStepResult",
     "FleetStream",
-    "RefitCoordinator",
-    "RegionTrial",
     "SpatialDriftAggregator",
     "StreamFleet",
 ]

@@ -17,8 +17,10 @@ cannot have:
   (:class:`~repro.fleet.spatial.SpatialDriftAggregator`);
 * **coordinated refit/promotion** — quorum-triggered, budget-capped region
   refits whose single candidate is deployed once and trialed across all of
-  the region's streams before its routes are re-pointed
-  (:class:`~repro.fleet.coordinator.RefitCoordinator`);
+  the region's streams before its routes are re-pointed (the
+  :class:`~repro.streaming.promotion.RefitCoordinator` and
+  :class:`~repro.streaming.promotion.Trial` the one-stream
+  :class:`~repro.streaming.StreamingForecaster` runs on too);
 * **whole-fleet checkpoints** — :meth:`save` / :meth:`load` shard every
   stream's ACI/monitor/event-log state per stream and round-trip it
   bit-identically (:mod:`repro.fleet.checkpoint`).
@@ -33,7 +35,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.fleet.coordinator import FleetRefitFn, FleetRefitPolicy, RefitCoordinator, RegionTrial
 from repro.obs.profiler import phase as obs_phase
 from repro.obs.profiler import profiling_enabled, record_phase
 from repro.obs.slo import fleet_source, server_source
@@ -42,6 +43,7 @@ from repro.fleet.spatial import SpatialDriftAggregator
 from repro.fleet.streams import FleetStream
 from repro.serving.router import KeyRouter, Router
 from repro.streaming.drift import DRIFT_KINDS, DriftEvent, EventLog
+from repro.streaming.promotion import RefitCoordinator, RefitFn, RefitPolicy, Trial
 from repro.streaming.runner import StepResult
 from repro.streaming.shard import StreamCore
 from repro.utils.jsonsafe import json_ready
@@ -100,7 +102,9 @@ class StreamFleet:
         candidate from ``{stream: (steps, nodes) recent observations}``.
         Enables the :class:`RefitCoordinator`.
     refit_policy:
-        :class:`~repro.fleet.coordinator.FleetRefitPolicy` overrides.
+        :class:`~repro.streaming.promotion.RefitPolicy` overrides
+        (``mode="canary"`` also serves the candidate's calibrated forecast
+        on its ``canary_fraction`` of the region's stream-steps).
     spatial:
         A :class:`~repro.fleet.spatial.SpatialDriftAggregator` over the
         corridor graph (streams opt in via their ``node``).
@@ -126,8 +130,8 @@ class StreamFleet:
         aci: Optional[Dict[str, Any]] = None,
         monitor_window: int = 288,
         detector_factory: Optional[Any] = None,
-        refit_fn: Optional[FleetRefitFn] = None,
-        refit_policy: Optional[FleetRefitPolicy] = None,
+        refit_fn: Optional[RefitFn] = None,
+        refit_policy: Optional[RefitPolicy] = None,
         spatial: Optional[SpatialDriftAggregator] = None,
         version_prefix: str = "fleet",
         timeout: Optional[float] = 60.0,
@@ -420,7 +424,7 @@ class StreamFleet:
             windows = [warm_windows[name] for name in warm]
             keys: List[Any] = [self.streams[name].key for name in warm]
             deployments: List[Optional[str]] = [None] * len(warm)
-            trial_slots: List[Tuple[RegionTrial, str]] = []
+            trial_slots: List[Tuple[Trial, str]] = []
             if self.coordinator is not None:
                 for trial in self.coordinator.trials.values():
                     for name in trial.streams:
@@ -430,6 +434,7 @@ class StreamFleet:
                             keys.append(self.streams[name].key)
                             deployments.append(trial.name)
         predictions: Dict[str, Tuple[Any, np.ndarray, np.ndarray]] = {}
+        canary_served: List[str] = []
         if windows:
             profiling = profiling_enabled()
             wait_seconds, waited = 0.0, 0
@@ -460,7 +465,7 @@ class StreamFleet:
                         wait_seconds += time.perf_counter() - wait_start
                         waited += 1
                 predictions[name] = self.streams[name].core.record(raw)
-            failed_trials: Dict[str, Tuple[RegionTrial, Exception]] = {}
+            failed_trials: Dict[str, Tuple[Trial, Exception]] = {}
             for (trial, name), future in zip(trial_slots, futures[len(warm):]):
                 if trial.region in failed_trials:
                     continue
@@ -474,7 +479,9 @@ class StreamFleet:
                     if profiling:
                         wait_seconds += time.perf_counter() - wait_start
                         waited += 1
-                _, cand_lower, cand_upper = self.streams[name].core.calibrate(candidate_raw)
+                calibrated, cand_lower, cand_upper = self.streams[name].core.calibrate(
+                    candidate_raw
+                )
                 trial.record(
                     name,
                     self.streams[name].core.step,
@@ -482,6 +489,9 @@ class StreamFleet:
                     cand_lower[0],
                     cand_upper[0],
                 )
+                if trial.serve_candidate_now():
+                    predictions[name] = (calibrated, cand_lower[0], cand_upper[0])
+                    canary_served.append(name)
             # A candidate that cannot even predict has failed its trial: the
             # broken-refit analogue of a rejection (undeploy, zero drops).
             for trial, error in failed_trials.values():
@@ -506,6 +516,8 @@ class StreamFleet:
                 coverage=stream.core.monitor.coverage,
                 events=resolved.events,
             )
+        for name in canary_served:
+            results[name].served_by = "candidate"
         self._tick += 1
 
         # Phase 8 (optional) — sample metric sources and evaluate SLOs.  The
@@ -567,7 +579,7 @@ class StreamFleet:
     # ------------------------------------------------------------------ #
     # Coordinated refits and promotion
     # ------------------------------------------------------------------ #
-    def _trial_for(self, region: Optional[str]) -> Optional[RegionTrial]:
+    def _trial_for(self, region: Optional[str]) -> Optional[Trial]:
         if self.coordinator is None or region is None:
             return None
         return self.coordinator.trials.get(region)
@@ -588,7 +600,9 @@ class StreamFleet:
         streams = self.region_streams(region)
         if not streams:
             return []
-        name, version = self.coordinator.next_candidate_name(region, self.version_prefix)
+        name, version = self.coordinator.next_candidate_name(
+            f"{self.version_prefix}-{region}"
+        )
         self.server.deploy(name, model, version=version)
         # Calibration recovery is independent of which model ends up serving:
         # the region's nonconformity buffers refill from post-drift data.
@@ -610,7 +624,7 @@ class StreamFleet:
             )
             return events
         nominal = 1.0 - streams[0].core.calibrator.config.significance
-        trial = RegionTrial(
+        trial = Trial(
             region,
             name,
             version,
@@ -628,8 +642,8 @@ class StreamFleet:
                     value=float(len(streams)),
                     threshold=0.0,
                     message=(
-                        f"trial of {name} ({version}) across {len(streams)} "
-                        f"streams of {region!r}, verdict after "
+                        f"{policy.mode} trial of {name} ({version}) across "
+                        f"{len(streams)} streams of {region!r}, verdict after "
                         f"{policy.eval_steps} scored stream-steps"
                     ),
                 )
@@ -638,7 +652,7 @@ class StreamFleet:
         return events
 
     def _finish_trial(
-        self, trial: RegionTrial, decision: Dict[str, Any], tick_index: int
+        self, trial: Trial, decision: Dict[str, Any], tick_index: int
     ) -> List[DriftEvent]:
         """Promote or reject a region candidate; returns the logged events."""
         promote = bool(decision["promote"])
@@ -657,19 +671,12 @@ class StreamFleet:
             step=tick_index,
             value=decision["candidate_mae"],
             threshold=decision["incumbent_mae"],
-            message=(
-                f"{trial.name} for {trial.region!r}: MAE "
-                f"{decision['candidate_mae']:.4g} vs incumbent "
-                f"{decision['incumbent_mae']:.4g}, coverage "
-                f"{decision['candidate_coverage']:.1f}% vs "
-                f"{decision['incumbent_coverage']:.1f}% over "
-                f"{decision['scored_steps']} scored stream-steps"
-            ),
+            message=f"{trial.name} for {trial.region!r}: {Trial.summary(decision)}",
         )
         return [self.event_log.append(event)]
 
     def _abort_trial(
-        self, trial: RegionTrial, error: Exception, tick_index: int
+        self, trial: Trial, error: Exception, tick_index: int
     ) -> List[DriftEvent]:
         """Kill a trial whose candidate cannot predict; the region keeps its
         incumbent and the fleet keeps ticking (zero dropped requests)."""

@@ -10,10 +10,15 @@ on a static validation split; this subsystem keeps them alive on a *stream*:
   (coverage, interval width, MAE/RMSE, Winkler score);
 * :mod:`repro.streaming.drift` — coverage-breach and error-CUSUM drift
   detectors emitting typed :class:`~repro.streaming.drift.DriftEvent`\\ s;
+* :mod:`repro.streaming.promotion` — the one refit path both loops share:
+  :class:`RefitPolicy` (quorum, cooldown, budget, ``immediate`` / ``shadow``
+  / ``canary`` publication), the :class:`RefitCoordinator` that launches
+  refits and the candidate-vs-incumbent :class:`Trial`;
 * :mod:`repro.streaming.runner` — the :class:`StreamingForecaster` loop
-  driving predict → observe → update, with NaN-masked partial observations,
-  background refits and zero-drop
-  :meth:`~repro.serving.server.InferenceServer.swap_model` publication.
+  driving predict → observe → update, with NaN-masked partial observations
+  and drift-triggered refits run as a one-stream region; a refit is adopted
+  at the ``observe`` after it finishes, and with a server attached every
+  publication is a zero-drop deploy + promote of its default route.
 
 Typical usage::
 
@@ -39,14 +44,15 @@ from repro.streaming.drift import (
     EventLog,
 )
 from repro.streaming.monitor import RollingStat, StreamingMonitor
-from repro.streaming.promotion import PROMOTION_MODES, CandidateTrial, PromotionPolicy
+from repro.streaming.promotion import REFIT_MODES, RefitCoordinator, RefitPolicy, Trial
 from repro.streaming.runner import StepResult, StreamingForecaster
 from repro.streaming.shard import ResolvedStep, StreamCore
 
 __all__ = [
-    "PROMOTION_MODES",
-    "CandidateTrial",
-    "PromotionPolicy",
+    "REFIT_MODES",
+    "RefitCoordinator",
+    "RefitPolicy",
+    "Trial",
     "ACI_INTERVAL_MODES",
     "ACI_MODES",
     "ACIConfig",

@@ -1,34 +1,39 @@
 """The online forecasting loop: predict → observe → update → (re)calibrate.
 
 :class:`StreamingForecaster` turns a fitted batch forecaster into a live
-system — it is a one-stream fleet: the per-stream state machine (pending
+system.  It is a one-stream region: the per-stream state machine (pending
 ledger, adaptive conformal calibration, rolling monitors, drift detectors)
-lives in a :class:`~repro.streaming.shard.StreamCore`, and this runner wires
-exactly one core to one model plus the refit/promotion machinery.  The
-multi-stream analogue, :class:`~repro.fleet.StreamFleet`, owns many cores
-and funnels their per-tick predicts through one shared batched server.
+lives in a :class:`~repro.streaming.shard.StreamCore`, and refits run on the
+same :class:`~repro.streaming.promotion.RefitCoordinator` and
+:class:`~repro.streaming.promotion.Trial` as the multi-stream
+:class:`~repro.fleet.StreamFleet`, with a quorum of 1.  The fleet owns many
+cores and funnels their per-tick predicts through one shared batched server;
+this runner calls its one model directly.
 
 Each call to :meth:`observe` ingests one observation row (NaN entries mark
-dropped-out sensors) and
+dropped-out sensors) in the fleet's phase order:
 
-1. **resolves** every pending forecast the new observation completes — the
+1. **resolve** every pending forecast the new observation completes — the
    prediction made ``h+1`` steps ago forecast this step at horizon index
-   ``h`` — feeding the rolling :class:`~repro.streaming.monitor.StreamingMonitor`
-   and the per-horizon
-   :class:`~repro.streaming.aci.AdaptiveConformalCalibrator`;
-2. **detects drift** by routing the step's coverage / error signals through
-   the configured detectors;
-3. on drift, **recalibrates**: the nonconformity buffers are rebuilt from
-   post-drift data and, when a ``refit_fn`` is configured, a replacement
-   model is fitted (in a background thread by default);
-4. **publishes** the refit according to the configured
-   :class:`~repro.streaming.promotion.PromotionPolicy` — immediately (the
-   legacy ``swap_model`` path), or after a shadow/canary trial in which the
-   candidate is scored on live observations against the incumbent and
-   promoted only when its rolling MAE/coverage win; either way zero
-   in-flight requests are dropped;
-5. **forecasts** the next ``horizon`` steps from the updated history window
-   and emits width-adapted conformal intervals.
+   ``h`` — feeding the rolling monitor, the per-horizon
+   :class:`~repro.streaming.aci.AdaptiveConformalCalibrator` and, during a
+   trial, both sides of the candidate-vs-incumbent comparison; then
+   **detect drift** (every detector event counts) and append the row;
+2. **publish**: settle a finished trial's verdict, adopt refits that have
+   finished since the last step (a background refit is adopted here, on the
+   loop's thread, at the next :meth:`observe`), and **trigger** a refit when
+   drift meets the cooldown.  Adoption rebuilds the nonconformity buffers
+   from post-drift data and publishes the model according to the
+   :class:`~repro.streaming.promotion.RefitPolicy`: immediately, or after a
+   shadow/canary trial it must win on rolling MAE/coverage.  With a server
+   attached, every publication is a deploy + promote of the server's
+   default route (zero dropped requests), and a trial mirrors or splits the
+   server's external traffic onto the candidate;
+3. **forecast** the next ``horizon`` steps from the updated window and emit
+   width-adapted conformal intervals (during a trial the candidate forecasts
+   the same window, and a candidate whose ``predict`` raises fails its
+   trial);
+4. **advance** the step.
 
 The runner is deliberately model-agnostic: anything with a batch ``predict``
 returning a :class:`~repro.core.inference.PredictionResult` works — a
@@ -37,7 +42,6 @@ returning a :class:`~repro.core.inference.PredictionResult` works — a
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -48,7 +52,7 @@ from repro.core.inference import PredictionResult
 from repro.streaming.aci import AdaptiveConformalCalibrator
 from repro.streaming.drift import DriftEvent, EventLog
 from repro.streaming.monitor import StreamingMonitor
-from repro.streaming.promotion import CandidateTrial, PromotionPolicy
+from repro.streaming.promotion import RefitCoordinator, RefitPolicy, Trial
 from repro.streaming.shard import StreamCore
 
 
@@ -65,6 +69,14 @@ class StepResult:
     coverage: float                          # rolling coverage (percent; NaN early on)
     events: List[DriftEvent] = field(default_factory=list)
     served_by: str = "incumbent"             # "incumbent" | "candidate" (canary trials)
+
+
+def _predictor(model: Any) -> Callable[[np.ndarray], PredictionResult]:
+    """A model's batch predict function (the model itself when it is one)."""
+    predict = getattr(model, "predict", model)
+    if not callable(predict):
+        raise TypeError("refit_fn must return a predictor or predict function")
+    return predict
 
 
 class StreamingForecaster:
@@ -92,29 +104,28 @@ class StreamingForecaster:
         signals; defaults to a coverage-breach plus an error-CUSUM detector.
     server:
         Optional :class:`~repro.serving.InferenceServer` that external
-        clients query; drift-triggered refits are published to it through
-        ``swap_model`` (queued requests are never dropped).
+        clients query; every publication deploys the refit on it and
+        promotes it to the default route (queued requests are never
+        dropped).
     refit_fn:
         ``refit_fn(recent) -> model`` producing a replacement predictor from
         the ``(steps, nodes)`` array of recent observations.  Without it,
         recalibration still rebuilds the conformal state online.
     refit_window:
         How many recent observations are retained for ``refit_fn``.
-    cooldown:
-        Minimum number of steps between recalibration triggers.
-    background_refit:
-        Run ``refit_fn`` on a daemon thread (default) or synchronously.
     version_prefix:
-        Prefix of the versions published to ``server`` on swap.
-    promotion:
-        How refits are published: ``"immediate"`` (default, the legacy
-        instant swap), ``"shadow"`` or ``"canary"`` — or a full
-        :class:`~repro.streaming.promotion.PromotionPolicy`.  Non-immediate
-        modes stage the refit as a candidate, score it on live observations
-        against the incumbent, and promote only when its rolling
-        MAE/coverage beat the incumbent's; a losing candidate is rejected
-        and, if it was deployed to the server, rolled back.
+        Prefix of the candidate names and versions published to ``server``.
+    refit_policy:
+        A :class:`~repro.streaming.promotion.RefitPolicy` with ``quorum=1``.
+        The default publishes immediately, waits at least 100 steps between
+        refits and refits on a background thread; ``mode="shadow"`` or
+        ``"canary"`` stage each refit as a candidate that is promoted only
+        when it beats the incumbent on live observations.
     """
+
+    #: The runner's one-stream region and its one stream, as the refit
+    #: coordinator knows them.
+    REGION = "stream"
 
     def __init__(
         self,
@@ -128,10 +139,8 @@ class StreamingForecaster:
         server: Optional[Any] = None,
         refit_fn: Optional[Callable[[Optional[np.ndarray]], Any]] = None,
         refit_window: int = 288,
-        cooldown: int = 100,
-        background_refit: bool = True,
         version_prefix: str = "stream",
-        promotion: Union[str, PromotionPolicy] = "immediate",
+        refit_policy: Optional[RefitPolicy] = None,
     ) -> None:
         self.forecaster = forecaster
         history, horizon = self._resolve_geometry(forecaster, history, horizon)
@@ -140,6 +149,12 @@ class StreamingForecaster:
                 f"calibrator horizon {calibrator.horizon} does not match "
                 f"runner horizon {horizon}"
             )
+        if refit_policy is None:
+            # window=1: a drift counts only at the step it fires, so one that
+            # lands inside the cooldown is dropped rather than deferred.
+            refit_policy = RefitPolicy(quorum=1, window=1, cooldown=100, mode="immediate")
+        if refit_policy.quorum != 1:
+            raise ValueError("a single stream is a one-stream region: quorum must be 1")
         self.core = StreamCore(
             history,
             horizon,
@@ -151,22 +166,11 @@ class StreamingForecaster:
         )
         self.server = server
         self.refit_fn = refit_fn
-        self.cooldown = int(cooldown)
-        self.background_refit = bool(background_refit)
         self.version_prefix = str(version_prefix)
-        self.promotion_policy = (
-            promotion
-            if isinstance(promotion, PromotionPolicy)
-            else PromotionPolicy(mode=str(promotion))
-        )
-
+        self.coordinator = RefitCoordinator(self._refit, policy=refit_policy)
         self._predict: Callable[[np.ndarray], PredictionResult] = forecaster.predict
-        self._lock = threading.Lock()
-        self._last_trigger: Optional[int] = None
-        self._refit_thread: Optional[threading.Thread] = None
-        self._refit_count = 0
-        self._trial: Optional[CandidateTrial] = None
         self._displaced: Optional[str] = None  # incumbent kept for manual rollback
+        self._router: Optional[Any] = None     # caller's router while a trial runs
 
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -237,10 +241,9 @@ class StreamingForecaster:
         return self.core.warmed_up
 
     @property
-    def trial(self) -> Optional[CandidateTrial]:
+    def trial(self) -> Optional[Trial]:
         """The live candidate trial while a shadow/canary evaluation runs."""
-        with self._lock:
-            return self._trial
+        return self.coordinator.trials.get(self.REGION)
 
     # ------------------------------------------------------------------ #
     # The online loop
@@ -249,69 +252,64 @@ class StreamingForecaster:
         self, observation: np.ndarray, mask: Optional[np.ndarray] = None
     ) -> StepResult:
         """Ingest one observation row and emit the next calibrated forecast."""
-        core = self.core
+        core, coordinator = self.core, self.coordinator
         obs, valid = core.normalize(observation, mask)
         s = core.step
-        events: List[DriftEvent] = []
-        with self._lock:
-            trial = self._trial
 
-        # 1. Resolve pending forecasts this observation completes — the
-        #    incumbent's always, and a trialed candidate's alongside.
+        # 1. Resolve (scoring both trial sides on the same rows), detect,
+        #    append.  Only detector events reach the coordinator as drift.
         resolved = core.resolve(s, obs, valid)
+        trial = self.trial
         if trial is not None:
-            if resolved.steps is not None:
-                # Same resolved rows, restricted to post-trial forecasts, so
-                # the incumbent-vs-candidate comparison covers identical
-                # windows.
-                trial.observe_incumbent(
-                    resolved.target,
-                    resolved.mean,
-                    resolved.lower,
-                    resolved.upper,
-                    resolved.steps,
-                )
-            trial.resolve(s, obs, valid)
+            trial.observe_incumbent(self.REGION, resolved)
+            trial.resolve(self.REGION, s, obs, valid)
+        events = core.detect(s, resolved.covered, resolved.abs_error)
+        drift = events[0] if events else None
+        if drift is not None:
+            coordinator.note_drift(self.REGION, self.REGION, s)
+        filled = core.append(obs, valid)
+
+        # 2. Settle the verdict, adopt finished refits, trigger.
+        if trial is not None:
             decision = trial.verdict()
             if decision is not None:
                 events.extend(self._finish_trial(trial, decision, s))
-                trial = None
+        for _, model, error in coordinator.take_finished():
+            events.extend(self._adopt(model, error, s))
+        if coordinator.maybe_trigger(s, lambda region: {region: core.recent()}):
+            events.append(self._log(
+                "recalibration_started", s,
+                value=drift.value if drift is not None else 0.0,
+                threshold=drift.threshold if drift is not None else 0.0,
+                message=(
+                    f"triggered by {drift.kind}" if drift is not None
+                    else "triggered by drift within the quorum window"
+                ),
+            ))
 
-        # 2. Route the step's signals through the drift detectors.
-        events.extend(core.detect(s, resolved.covered, resolved.abs_error))
-
-        # 3. Drift-triggered recalibration (rate-limited by the cooldown,
-        #    and never overlapping an in-flight refit or a running trial).
-        if events and self._can_trigger(s):
-            self._trigger_recalibration(events[0], s)
-
-        # 4. Ingest the observation (carry-forward imputation for gaps).
-        filled = core.append(obs, valid)
-
-        # 5. Forecast the next horizon from the updated window.
+        # 3. Forecast; during a trial the candidate forecasts the same
+        #    window and, in canary mode, serves its share of the output.
         prediction = lower = upper = None
         served_by = "incumbent"
         window = core.window()
         if window is not None:
-            with self._lock:
-                predict = self._predict
-            raw = predict(window)
-            prediction, lower, upper = core.record(raw)
-            # During a trial the candidate forecasts the same window; in
-            # canary mode it also serves its share of the emitted forecasts.
+            prediction, lower, upper = core.record(self._predict(window))
+            trial = self.trial
             if trial is not None:
-                candidate_raw = trial.predict(window)
-                candidate_calibrated, cand_lower_b, cand_upper_b = core.calibrate(
-                    candidate_raw
-                )
-                trial.record(
-                    s, candidate_raw.mean[0], cand_lower_b[0], cand_upper_b[0]
-                )
-                if trial.serve_candidate_now():
-                    prediction = candidate_calibrated
-                    lower, upper = cand_lower_b[0], cand_upper_b[0]
-                    served_by = "candidate"
+                try:
+                    candidate_raw = _predictor(trial.model)(window)
+                except Exception as error:
+                    events.extend(self._abort_trial(trial, error, s))
+                else:
+                    calibrated, cand_lower, cand_upper = core.calibrate(candidate_raw)
+                    trial.record(
+                        self.REGION, s, candidate_raw.mean[0], cand_lower[0], cand_upper[0]
+                    )
+                    if trial.serve_candidate_now():
+                        prediction, lower, upper = calibrated, cand_lower[0], cand_upper[0]
+                        served_by = "candidate"
 
+        # 4. Advance.
         core.advance()
         return StepResult(
             step=s,
@@ -337,243 +335,161 @@ class StreamingForecaster:
         return results
 
     # ------------------------------------------------------------------ #
-    def _can_trigger(self, s: int) -> bool:
-        """Cooldown elapsed, no refit in flight, and no trial still running.
+    # Refits and their publication (all on the loop's thread but _refit)
+    # ------------------------------------------------------------------ #
+    def _refit(self, region: str, recents: Dict[str, np.ndarray]) -> Any:
+        """The coordinator's refit: ``refit_fn`` on the stream's recent rows."""
+        if self.refit_fn is None:
+            return None
+        return self.refit_fn(recents[region])
 
-        The in-flight guard matters beyond thread count: were a second refit
-        allowed to start, the *older-data* one could finish last and publish
-        a stale model over the fresher one — and a second candidate would
-        corrupt the running trial's like-for-like comparison.
-        """
-        if self._refit_thread is not None and self._refit_thread.is_alive():
-            return False
-        with self._lock:
-            if self._trial is not None:
-                return False
-        return self._last_trigger is None or s - self._last_trigger >= self.cooldown
-
-    def _trigger_recalibration(self, cause: DriftEvent, s: int) -> None:
-        """Kick off conformal-state rebuild and (optionally) a model refit."""
-        self._last_trigger = s
-        self.event_log.append(
-            DriftEvent(
-                kind="recalibration_started",
-                step=s,
-                value=cause.value,
-                threshold=cause.threshold,
-                message=f"triggered by {cause.kind}",
-            )
+    def _log(
+        self, kind: str, s: int, value: float = 0.0, threshold: float = 0.0, message: str = ""
+    ) -> DriftEvent:
+        return self.event_log.append(
+            DriftEvent(kind=kind, step=s, value=float(value), threshold=float(threshold),
+                       message=message)
         )
-        recent = self.core.recent()
 
-        def work() -> None:
+    def _adopt(self, model: Any, error: Optional[Exception], s: int) -> List[DriftEvent]:
+        """Adopt one finished refit: publish it now or stage it for a trial."""
+        if error is None and model is not None:
             try:
-                staged = False
-                if self.refit_fn is not None:
-                    model = self.refit_fn(recent)
-                    predict = model.predict if hasattr(model, "predict") else model
-                    if not callable(predict):
-                        raise TypeError("refit_fn must return a predictor or predict function")
-                    if self.promotion_policy.mode == "immediate":
-                        with self._lock:
-                            # Adopt the replacement wholesale so save() persists
-                            # the model actually serving, not the pre-drift one.
-                            self.forecaster = model
-                            self._predict = predict
-                            self._refit_count += 1
-                            version = f"{self.version_prefix}-recal{self._refit_count}"
-                        if self.server is not None:
-                            previous = self.server.swap_model(model, version=version)
-                            self.event_log.append(
-                                DriftEvent(
-                                    kind="model_swapped",
-                                    step=s,
-                                    value=float(self._refit_count),
-                                    threshold=0.0,
-                                    message=f"{previous} -> {version}",
-                                )
-                            )
-                    else:
-                        self._stage_candidate(model, predict, s)
-                        staged = True
-                # Pre-drift scores only slow adaptation down; refill the
-                # nonconformity buffers from post-drift data.
-                self.core.reset_scores(keep_alpha=True)
-                self.event_log.append(
-                    DriftEvent(
-                        kind="recalibrated",
-                        step=s,
-                        value=float(self._refit_count),
-                        threshold=0.0,
-                        message="conformal state rebuilt"
-                        + (
-                            ", candidate staged"
-                            if staged
-                            else (", model refitted" if self.refit_fn is not None else "")
-                        ),
-                    )
-                )
-            except Exception as error:  # surfaced via the event log, not the loop
-                self.event_log.append(
-                    DriftEvent(
-                        kind="recalibration_failed",
-                        step=s,
-                        value=0.0,
-                        threshold=0.0,
-                        message=f"{type(error).__name__}: {error}",
-                    )
-                )
+                _predictor(model)
+            except TypeError as bad:
+                error = bad
+        if error is not None:
+            return [self._log(
+                "recalibration_failed", s, message=f"{type(error).__name__}: {error}"
+            )]
+        # Pre-drift scores only slow adaptation down; refill the
+        # nonconformity buffers from post-drift data.
+        self.core.reset_scores(keep_alpha=True)
+        events: List[DriftEvent] = []
+        note = ""
+        if model is not None:
+            policy = self.coordinator.policy
+            name, version = self.coordinator.next_candidate_name(self.version_prefix)
+            if self.server is not None:
+                self.server.deploy(name, model, version=version)
+            if policy.mode == "immediate":
+                events.extend(self._publish(model, name, version, s))
+                note = ", model refitted"
+            else:
+                events.append(self._stage(model, name, version, s))
+                note = ", candidate staged"
+        refits = self.coordinator.get_state()["refit_count"]
+        events.append(self._log(
+            "recalibrated", s, value=refits, message="conformal state rebuilt" + note
+        ))
+        return events
 
-        if self.background_refit:
-            self._refit_thread = threading.Thread(
-                target=work, name="repro-stream-refit", daemon=True
-            )
-            self._refit_thread.start()
-        else:
-            work()
-
-    # ------------------------------------------------------------------ #
-    # Candidate trials (shadow / canary promotion)
-    # ------------------------------------------------------------------ #
-    def _server_supports_pool(self) -> bool:
-        return (
-            self.server is not None
-            and hasattr(self.server, "deploy")
-            and hasattr(self.server, "router")
+    def _stage(self, model: Any, name: str, version: str, s: int) -> DriftEvent:
+        """Open a shadow/canary trial of a deployed (or local) candidate."""
+        policy = self.coordinator.policy
+        self.coordinator.trials[self.REGION] = Trial(
+            self.REGION,
+            name,
+            version,
+            policy,
+            nominal=1.0 - self.calibrator.config.significance,
+            horizon=self.horizon,
+            start_steps={self.REGION: self.core.step},
+            model=model,
         )
-
-    def _stage_candidate(self, model: Any, predict: Callable, s: int) -> None:
-        """Open a shadow/canary trial instead of adopting the refit outright."""
-        policy = self.promotion_policy
-        with self._lock:
-            self._refit_count += 1
-            count = self._refit_count
-            name = f"{self.version_prefix}-cand{count}"
-            version = f"{self.version_prefix}-recal{count}"
-            trial = CandidateTrial(
-                model,
-                predict,
-                policy,
-                # The first step where *both* models are guaranteed to have
-                # forecast: scoring earlier steps would judge the pair on
-                # different windows.
-                start_step=self.core.step + 1,
-                horizon=self.horizon,
-                nominal=1.0 - self.calibrator.config.significance,
-                name=name,
-                version=version,
-            )
-        if self._server_supports_pool():
+        if self.server is not None:
             # Expose the candidate to external traffic for the trial: shadow
             # mirrors every request, canary serves its weighted share.  The
             # caller's router is restored when the trial ends.
             from repro.serving.router import ShadowRouter, TrafficSplitRouter
 
-            self.server.deploy(name, model, version=version)
-            trial.deployed = True
-            trial.previous_router = self.server.router
+            self._router = self.server.router
             if policy.mode == "shadow":
-                self.server.router = ShadowRouter(
-                    shadows=[name], inner=trial.previous_router
-                )
+                self.server.router = ShadowRouter(shadows=[name], inner=self._router)
             else:
                 # The non-canary share keeps the caller's routing intact.
                 self.server.router = TrafficSplitRouter(
                     {None: 1.0 - policy.canary_fraction, name: policy.canary_fraction},
-                    inner=trial.previous_router,
+                    inner=self._router,
                 )
-        with self._lock:
-            self._trial = trial
-        self.event_log.append(
-            DriftEvent(
-                kind="candidate_staged",
-                step=s,
-                value=float(count),
-                threshold=0.0,
-                message=(
-                    f"{policy.mode} trial of {name} ({version}), "
-                    f"verdict after {policy.eval_steps} scored steps"
-                ),
-            )
+        return self._log(
+            "candidate_staged", s,
+            value=self.coordinator.get_state()["refit_count"],
+            message=(
+                f"{policy.mode} trial of {name} ({version}), "
+                f"verdict after {policy.eval_steps} scored steps"
+            ),
         )
+
+    def _publish(self, model: Any, name: str, version: str, s: int) -> List[DriftEvent]:
+        """Make ``model`` the incumbent: the loop's predictor and, with a
+        server, its default route (keeping one displaced generation)."""
+        # Adopt the model wholesale so save() persists the one serving.
+        self.forecaster = model
+        self._predict = _predictor(model)
+        if self.server is None:
+            return []
+        previous = self.server.promote(name)
+        stale, self._displaced = self._displaced, previous
+        if stale not in (None, name, previous) and stale in self.server.pool:
+            # Older generations would otherwise accumulate in the pool
+            # forever on a long drifting stream.
+            self.server.undeploy(stale)
+        return [self._log(
+            "model_swapped", s,
+            value=self.coordinator.get_state()["refit_count"],
+            message=f"{previous} -> {name} ({version})",
+        )]
+
+    def _end_trial(self, trial: Trial, promote: bool, s: int) -> List[DriftEvent]:
+        """Close the trial: restore the caller's router, then promote or retire."""
+        self.coordinator.trials.pop(self.REGION, None)
+        if self.server is not None:
+            # Restore the router before touching the route table so no new
+            # request targets a retiring candidate.
+            self.server.router, self._router = self._router, None
+        if promote:
+            return self._publish(trial.model, trial.name, trial.version, s)
+        if self.server is not None and trial.name in self.server.pool:
+            # Never promoted, so retiring it cannot touch the default route;
+            # queued requests routed at it fall back, zero drops.
+            self.server.undeploy(trial.name)
+        return []
 
     def _finish_trial(
-        self, trial: CandidateTrial, decision: Dict[str, Any], s: int
+        self, trial: Trial, decision: Dict[str, Any], s: int
     ) -> List[DriftEvent]:
         """Promote or reject the trialed candidate; returns the logged events."""
-        events: List[DriftEvent] = []
         promote = bool(decision["promote"])
-        with self._lock:
-            self._trial = None
-            if promote:
-                # Adopt the winner wholesale so save() persists the model
-                # actually serving, not the losing incumbent.
-                self.forecaster = trial.model
-                self._predict = trial.predict
-        if trial.deployed:
-            # Restore the caller's router before touching the route table so
-            # no new request targets a retiring candidate.
-            self.server.router = trial.previous_router
-            if promote:
-                previous = self.server.promote(trial.name)
-                # Keep exactly one displaced generation around for a manual
-                # rollback; older ones would otherwise accumulate in the
-                # pool forever on a long drifting stream.
-                stale, self._displaced = self._displaced, previous
-                if stale is not None and stale in self.server.pool:
-                    self.server.undeploy(stale)
-                events.append(
-                    DriftEvent(
-                        kind="model_swapped",
-                        step=s,
-                        value=float(self._refit_count),
-                        threshold=0.0,
-                        message=f"{previous} -> {trial.name} ({trial.version})",
-                    )
-                )
-            else:
-                # Never promoted, so retiring it cannot touch the default
-                # route; queued requests routed at it fall back, zero drops.
-                self.server.undeploy(trial.name)
-        elif self.server is not None and promote:
-            previous = self.server.swap_model(trial.model, version=trial.version)
-            events.append(
-                DriftEvent(
-                    kind="model_swapped",
-                    step=s,
-                    value=float(self._refit_count),
-                    threshold=0.0,
-                    message=f"{previous} -> {trial.version}",
-                )
-            )
+        events = self._end_trial(trial, promote, s)
         if promote:
-            # The winner's residual scale differs from the incumbent's;
-            # rebuild the nonconformity buffers against it.
+            # The winner's residual scale differs from the incumbent's.
             self.core.reset_scores(keep_alpha=True)
-        events.append(
-            DriftEvent(
-                kind="candidate_promoted" if promote else "candidate_rejected",
-                step=s,
-                value=decision["candidate_mae"],
-                threshold=decision["incumbent_mae"],
-                message=(
-                    f"{trial.name}: MAE {decision['candidate_mae']:.4g} vs "
-                    f"incumbent {decision['incumbent_mae']:.4g}, coverage "
-                    f"{decision['candidate_coverage']:.1f}% vs "
-                    f"{decision['incumbent_coverage']:.1f}% over "
-                    f"{decision['scored_steps']} scored steps"
-                ),
-            )
-        )
-        for event in events:
-            self.event_log.append(event)
+        events.append(self._log(
+            "candidate_promoted" if promote else "candidate_rejected", s,
+            value=decision["candidate_mae"],
+            threshold=decision["incumbent_mae"],
+            message=f"{trial.name}: {Trial.summary(decision)}",
+        ))
         return events
 
+    def _abort_trial(self, trial: Trial, error: Exception, s: int) -> List[DriftEvent]:
+        """Fail a candidate that cannot predict; the incumbent keeps serving."""
+        self._end_trial(trial, False, s)
+        return [self._log(
+            "candidate_failed", s,
+            message=(
+                f"{trial.name} failed to predict and was retired: "
+                f"{type(error).__name__}: {error}"
+            ),
+        )]
+
     def join_refit(self, timeout: Optional[float] = 30.0) -> None:
-        """Block until any in-flight background refit has finished."""
-        thread = self._refit_thread
-        if thread is not None:
-            thread.join(timeout=timeout)
+        """Block until any in-flight background refit has finished.
+
+        The finished refit is adopted by the next :meth:`observe`.
+        """
+        self.coordinator.join(timeout=timeout)
 
     # ------------------------------------------------------------------ #
     # Ops
@@ -587,11 +503,12 @@ class StreamingForecaster:
         state, the drift-event log as JSON records, and (when a server is
         attached) its serving stats.
         """
+        trial = self.trial
         snap: Dict[str, Any] = {
             "step": self.step,
             "warmed_up": self.warmed_up,
-            "refit_count": self._refit_count,
-            "trial": repr(self.trial) if self.trial is not None else None,
+            "refit_count": self.coordinator.get_state()["refit_count"],
+            "trial": repr(trial) if trial is not None else None,
             "metrics": self.monitor.snapshot(),
             "events": self.event_log.to_records(),
         }
@@ -606,11 +523,12 @@ class StreamingForecaster:
     ACI_SUBDIR = "aci"
     STREAM_SUBDIR = "stream"
 
-    #: On-disk format revision of the runner-state checkpoint.  Version 2
-    #: stores the full :class:`StreamCore` state (detectors, history and
-    #: pending ledgers included); version 1 checkpoints (monitor + events
-    #: only) are still readable.
-    STREAM_FORMAT_VERSION = 2
+    #: On-disk format revision of the runner-state checkpoint.  Version 3
+    #: stores the refit coordinator's state (cooldown clock, refit count,
+    #: partial quorum); version 2 stored the full :class:`StreamCore` state
+    #: with the cooldown clock and refit count as two flat keys; version 1
+    #: held monitor + events only.  All three are readable.
+    STREAM_FORMAT_VERSION = 3
 
     def save(self, directory: Union[str, Path]) -> Path:
         """Persist the full stream state (always) and the model (if it can).
@@ -619,9 +537,11 @@ class StreamingForecaster:
         rolling :class:`StreamingMonitor` windows, the drift detectors'
         accumulated evidence, the event log and the history / pending /
         recent ledgers — round-trips bit-identically through the shared
-        ``get_state`` / ``set_state`` array protocol, so a restarted serving
-        process resumes the stream exactly where it stopped: warm window,
-        outstanding forecasts still scoreable, detectors still mid-debounce.
+        ``get_state`` / ``set_state`` array protocol, and the refit
+        coordinator's cooldown clock, refit count and partial quorum ride
+        along, so a restarted serving process resumes the stream exactly
+        where it stopped: warm window, outstanding forecasts still
+        scoreable, detectors still mid-debounce, cooldown still running.
         Forecasters exposing ``save`` (the :class:`~repro.api.Forecaster`
         facade) are stored alongside so :meth:`load` restores the entire
         streaming system.
@@ -630,8 +550,6 @@ class StreamingForecaster:
         directory.mkdir(parents=True, exist_ok=True)
         from repro.utils.serialization import save_checkpoint
 
-        with self._lock:
-            forecaster = self.forecaster
         # The calibrator is additionally stored under aci/ in its own
         # directory format: load() needs it to construct the runner before
         # the core state (which embeds the same buffers) is restored.
@@ -641,15 +559,14 @@ class StreamingForecaster:
             "kind": "stream",
             "format_version": self.STREAM_FORMAT_VERSION,
             "step": self.core.step,
-            "last_trigger": self._last_trigger,
-            "refit_count": self._refit_count,
+            "coordinator": self.coordinator.get_state(),
             "core": core_state["meta"],
             "events": self.event_log.to_records(),
         }
         save_checkpoint(
             directory / self.STREAM_SUBDIR, stream_meta, core_state["arrays"]
         )
-        saver = getattr(forecaster, "save", None)
+        saver = getattr(self.forecaster, "save", None)
         if callable(saver):
             saver(directory / self.MODEL_SUBDIR)
         return directory
@@ -686,7 +603,7 @@ class StreamingForecaster:
 
             meta, arrays = load_checkpoint(stream_dir)
             version = meta.get("format_version")
-            if version not in (1, cls.STREAM_FORMAT_VERSION):
+            if version not in (1, 2, cls.STREAM_FORMAT_VERSION):
                 raise ValueError(
                     f"unsupported stream checkpoint format {version!r} "
                     f"(this build reads versions 1-{cls.STREAM_FORMAT_VERSION})"
@@ -705,10 +622,15 @@ class StreamingForecaster:
                 runner.monitor.set_state({"meta": monitor_meta, "arrays": arrays})
                 runner.event_log = EventLog.from_records(meta["events"])
                 runner.core._step = int(meta["step"])
-            runner._last_trigger = (
-                int(meta["last_trigger"]) if meta["last_trigger"] is not None else None
-            )
-            runner._refit_count = int(meta["refit_count"])
+            if version >= 3:
+                coordinator_state = meta["coordinator"]
+            else:
+                last = meta["last_trigger"]
+                coordinator_state = {
+                    "refit_count": int(meta["refit_count"]),
+                    "last_trigger": {} if last is None else {cls.REGION: int(last)},
+                }
+            runner.coordinator.set_state(coordinator_state)
         return runner
 
     def __repr__(self) -> str:

@@ -14,10 +14,15 @@ caller fetches :meth:`window`, obtains a
 That split is what lets one process scale from one stream to a fleet:
 
 * :class:`~repro.streaming.runner.StreamingForecaster` wires a single core to
-  a single forecaster — the classic one-stream loop, unchanged semantics;
+  a single forecaster — the classic one-stream loop;
 * :class:`~repro.fleet.StreamFleet` owns one core per corridor and funnels
   *all* per-tick windows through one shared micro-batched server, so a tick
   over N streams costs ``O(ceil(N / batch))`` model calls instead of N.
+
+Both loops drive a core through the same phase order and run their refits
+on the same :mod:`repro.streaming.promotion` machinery (the solo runner as a
+one-stream region), so a one-stream fleet and the solo runner produce
+bit-identical forecasts, refits and trial verdicts.
 
 The **full** online state round-trips bit-identically through
 :meth:`get_state` / :meth:`set_state` (the shared array-protocol shape used

@@ -10,11 +10,11 @@ PR-6 detector-state bug.
 
 import numpy as np
 
-from repro.fleet.coordinator import FleetRefitPolicy, RefitCoordinator
+from repro.streaming.promotion import RefitCoordinator, RefitPolicy
 
 
 def _coordinator(**policy_kwargs):
-    policy = FleetRefitPolicy(
+    policy = RefitPolicy(
         quorum=3, window=50, cooldown=10, background=False, mode="immediate",
         **policy_kwargs,
     )

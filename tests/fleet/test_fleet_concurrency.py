@@ -15,8 +15,8 @@ from repro.data import StreamingTrafficFeed
 from repro.data.synthetic import SyntheticTrafficConfig
 from repro.graph import grid_network
 from repro.serving import InferenceServer
-from repro.streaming import ErrorCusumDetector
-from repro.fleet import FleetRefitPolicy, RefitCoordinator, StreamFleet
+from repro.streaming import ErrorCusumDetector, RefitCoordinator, RefitPolicy
+from repro.fleet import StreamFleet
 
 HISTORY, HORIZON = 6, 2
 STEPS = 200
@@ -87,7 +87,7 @@ def fleet_run():
             aci={"window": 400, "gamma": 0.01},
             detector_factory=detector_factory,
             refit_fn=refit_fn,
-            refit_policy=FleetRefitPolicy(
+            refit_policy=RefitPolicy(
                 quorum=8, window=40, cooldown=200, max_concurrent=1,
                 eval_steps=60, mae_tolerance=0.5, coverage_tolerance=0.5,
             ),
@@ -194,7 +194,7 @@ class TestBrokenCandidateTrial:
                 server, HISTORY, HORIZON,
                 detector_factory=lambda: [_FireAt(at=15)],
                 refit_fn=lambda region, recents: Broken(),
-                refit_policy=FleetRefitPolicy(
+                refit_policy=RefitPolicy(
                     quorum=2, window=20, cooldown=100, background=False
                 ),
             )
@@ -220,11 +220,54 @@ class TestBrokenCandidateTrial:
             assert server.stats["route_fallbacks"] == 0
 
 
+class TestFleetCanary:
+    def test_canary_serves_its_share_of_the_drifting_region_only(self):
+        """mode="canary": during region a's trial the candidate serves 25% of
+        a's stream-steps, and region b never sees it."""
+        network = grid_network(2, 2)
+        steps = 160
+        model = FixedSigmaPersistence(sigma=20.0)
+        server = InferenceServer(model.predict, model_version="base", max_batch_size=64)
+        with server:
+            fleet = StreamFleet(
+                server, HISTORY, HORIZON,
+                refit_fn=lambda region, recents: FixedSigmaPersistence(sigma=20.0),
+                refit_policy=RefitPolicy(
+                    quorum=2, window=20, cooldown=1000, background=False,
+                    mode="canary", canary_fraction=0.25, eval_steps=100_000,
+                ),
+            )
+            for i in range(4):
+                fleet.add_stream(f"a{i}", region="a", detectors=[_FireAt(at=15)])
+                fleet.add_stream(f"b{i}", region="b", detectors=[])
+            feeds = {
+                name: StreamingTrafficFeed(network, num_steps=steps, seed=i, config=FLAT)
+                for i, name in enumerate(fleet.streams)
+            }
+            results = fleet.run({name: iter(feed) for name, feed in feeds.items()})
+            assert "a" in fleet.coordinator.trials and "b" not in fleet.coordinator.trials
+
+        (staged,) = fleet_log(fleet, "region_candidate_staged")
+        during = [tick for tick in results if tick.tick >= staged.step]
+        assert len(during) > 100
+        a_served = [tick[f"a{i}"].served_by for tick in during for i in range(4)]
+        b_served = [tick[f"b{i}"].served_by for tick in during for i in range(4)]
+        assert abs(a_served.count("candidate") / len(a_served) - 0.25) <= 0.05
+        assert set(b_served) == {"incumbent"}
+        assert all(tick[name].served_by == "incumbent"
+                   for tick in results if tick.tick < staged.step for name in tick.results)
+        # A canary-served step still emits a calibrated forecast.
+        served = [tick[f"a{i}"] for tick in during for i in range(4)
+                  if tick[f"a{i}"].served_by == "candidate"]
+        assert all(step.prediction is not None and np.all(step.lower <= step.upper)
+                   for step in served)
+
+
 class TestCoordinatorUnit:
     def test_quorum_and_window(self):
         coordinator = RefitCoordinator(
             lambda region, recents: FixedSigmaPersistence(1.0),
-            policy=FleetRefitPolicy(quorum=3, window=10, background=False),
+            policy=RefitPolicy(quorum=3, window=10, background=False),
         )
         coordinator.note_drift("r", "a", 0)
         coordinator.note_drift("r", "b", 1)
@@ -236,7 +279,7 @@ class TestCoordinatorUnit:
     def test_stale_drift_falls_out_of_the_window(self):
         coordinator = RefitCoordinator(
             lambda region, recents: None,
-            policy=FleetRefitPolicy(quorum=2, window=5, background=False),
+            policy=RefitPolicy(quorum=2, window=5, background=False),
         )
         coordinator.note_drift("r", "a", 0)
         coordinator.note_drift("r", "b", 10)
@@ -245,8 +288,8 @@ class TestCoordinatorUnit:
     def test_budget_caps_concurrent_regions(self):
         coordinator = RefitCoordinator(
             lambda region, recents: FixedSigmaPersistence(1.0),
-            policy=FleetRefitPolicy(
-                quorum=1, window=10, max_concurrent=1, mode="trial", background=False
+            policy=RefitPolicy(
+                quorum=1, window=10, max_concurrent=1, mode="shadow", background=False
             ),
         )
         coordinator.note_drift("r1", "a", 0)
@@ -257,7 +300,7 @@ class TestCoordinatorUnit:
     def test_cooldown_blocks_retrigger(self):
         coordinator = RefitCoordinator(
             lambda region, recents: FixedSigmaPersistence(1.0),
-            policy=FleetRefitPolicy(quorum=1, window=100, cooldown=50, background=False),
+            policy=RefitPolicy(quorum=1, window=100, cooldown=50, background=False),
         )
         coordinator.note_drift("r", "a", 0)
         assert coordinator.maybe_trigger(0, lambda region: {}) == ["r"]
@@ -272,7 +315,7 @@ class TestCoordinatorUnit:
             raise RuntimeError("boom")
 
         coordinator = RefitCoordinator(
-            failing, policy=FleetRefitPolicy(quorum=1, window=10, background=False)
+            failing, policy=RefitPolicy(quorum=1, window=10, background=False)
         )
         coordinator.note_drift("r", "a", 0)
         coordinator.maybe_trigger(0, lambda region: {})
@@ -283,7 +326,7 @@ class TestCoordinatorUnit:
     def test_state_round_trip(self):
         coordinator = RefitCoordinator(
             lambda region, recents: None,
-            policy=FleetRefitPolicy(quorum=1, window=10, background=False),
+            policy=RefitPolicy(quorum=1, window=10, background=False),
         )
         coordinator.note_drift("r", "a", 3)
         coordinator.maybe_trigger(3, lambda region: {})

@@ -7,7 +7,12 @@ from repro.core.inference import PredictionResult
 from repro.data import StreamingTrafficFeed
 from repro.graph import grid_network
 from repro.serving import InferenceServer, KeyRouter
-from repro.streaming import PersistenceForecaster, StreamingForecaster
+from repro.streaming import (
+    CoverageBreachDetector,
+    PersistenceForecaster,
+    RefitPolicy,
+    StreamingForecaster,
+)
 from repro.fleet import FleetStream, StreamFleet
 
 HISTORY, HORIZON = 8, 4
@@ -201,6 +206,112 @@ class TestSingleStreamEquivalence:
                 solo_step.prediction.mean, fleet_step.prediction.mean
             )
         assert solo.monitor.snapshot() == fleet["only"].core.monitor.snapshot()
+
+
+class _Offset:
+    """Persistence plus a constant bias: a refit candidate (offset 0 as good
+    as the incumbent, offset 40 grossly degraded)."""
+
+    def __init__(self, offset):
+        self.offset = float(offset)
+        self.inner = PersistenceForecaster(horizon=2, sigma=1.0)
+
+    def predict(self, windows):
+        result = self.inner.predict(windows)
+        return PredictionResult(
+            mean=result.mean + self.offset,
+            aleatoric_var=result.aleatoric_var,
+            epistemic_var=result.epistemic_var,
+        )
+
+
+def _regime_shift_rows(seed=42, quiet=60, loud=240, nodes=4):
+    """The regime-shift stream of tests/streaming/test_promotion.py."""
+    rng = np.random.default_rng(seed)
+    calm = 50.0 + rng.normal(size=(quiet, nodes))
+    shifted = 120.0 + rng.normal(size=(loud, nodes)) * 3.0
+    return np.concatenate([calm, shifted], axis=0)
+
+
+class TestOneRefitPath:
+    """The solo runner is a one-stream region on the fleet's refit machinery:
+    through a whole drift -> refit -> trial -> verdict cycle it is
+    bit-identical to a one-stream fleet driven with the same policy."""
+
+    @pytest.mark.parametrize(
+        "mode, offset, verdict",
+        [
+            ("shadow", 0.0, "promoted"),
+            ("shadow", 40.0, "rejected"),
+            ("immediate", 0.0, None),
+            ("canary", 0.0, "promoted"),
+        ],
+    )
+    def test_solo_runner_matches_one_stream_fleet(self, mode, offset, verdict):
+        rows = _regime_shift_rows()
+        policy = dict(quorum=1, mode=mode, eval_steps=30, cooldown=10_000, background=False)
+        aci = {"mode": "static", "window": 60, "min_scores": 10}
+
+        def detectors():
+            return [
+                CoverageBreachDetector(
+                    nominal=0.95, tolerance=0.05, window=20, patience=5, warmup=10
+                )
+            ]
+
+        solo = StreamingForecaster(
+            PersistenceForecaster(horizon=2, sigma=1.0),
+            history=3,
+            horizon=2,
+            aci=aci,
+            detectors=detectors(),
+            refit_fn=lambda recent: _Offset(offset),
+            refit_policy=RefitPolicy(**policy),
+        )
+        solo_steps = solo.run(rows)
+
+        server = InferenceServer(max_batch_size=4, max_wait_ms=1.0)
+        server.deploy("incumbent", PersistenceForecaster(horizon=2, sigma=1.0))
+        with server:
+            fleet = StreamFleet(
+                server, 3, 2,
+                aci=aci,
+                detector_factory=detectors,
+                refit_fn=lambda region, recents: _Offset(offset),
+                refit_policy=RefitPolicy(**policy),
+            )
+            fleet.add_stream("s", region="r")
+            fleet_steps = [tick["s"] for tick in fleet.run({"s": iter(rows)})]
+
+        assert len(solo_steps) == len(fleet_steps) == len(rows)
+        for solo_step, fleet_step in zip(solo_steps, fleet_steps):
+            assert solo_step.step == fleet_step.step
+            assert solo_step.served_by == fleet_step.served_by
+            if solo_step.prediction is None:
+                assert fleet_step.prediction is None
+                continue
+            np.testing.assert_array_equal(solo_step.prediction.mean, fleet_step.prediction.mean)
+            np.testing.assert_array_equal(solo_step.lower, fleet_step.lower)
+            np.testing.assert_array_equal(solo_step.upper, fleet_step.upper)
+
+        solo_log, fleet_log = solo.event_log, fleet.event_log
+        starts = [event.step for event in solo_log.of_kind("recalibration_started")]
+        assert len(starts) == 1
+        assert starts == [event.step for event in fleet_log.of_kind("region_refit_started")]
+        if verdict is None:
+            # Adopted at the step after the refit ran, by both loops.
+            (adopted,) = solo_log.of_kind("recalibrated")
+            (promoted,) = fleet_log.of_kind("region_candidate_promoted")
+            assert adopted.step == promoted.step == starts[0] + 1
+            assert isinstance(solo.forecaster, _Offset)
+        else:
+            (solo_verdict,) = solo_log.of_kind(f"candidate_{verdict}")
+            (fleet_verdict,) = fleet_log.of_kind(f"region_candidate_{verdict}")
+            assert solo_verdict.step == fleet_verdict.step
+            assert solo_verdict.value == fleet_verdict.value        # candidate MAE
+            assert solo_verdict.threshold == fleet_verdict.threshold  # incumbent MAE
+        served = [step.served_by for step in solo_steps]
+        assert ("candidate" in served) == (mode == "canary")
 
 
 class TestRoutingAndOps:

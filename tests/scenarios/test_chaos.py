@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import lockwatch
-from repro.fleet import FleetRefitPolicy, StreamFleet
+from repro.fleet import StreamFleet
 from repro.graph import grid_network
 from repro.scenarios import (
     ChaosSchedule,
@@ -23,7 +23,12 @@ from repro.scenarios import (
     thrash_cache,
 )
 from repro.serving import InferenceServer
-from repro.streaming import DriftEvent, ErrorCusumDetector, PersistenceForecaster
+from repro.streaming import (
+    DriftEvent,
+    ErrorCusumDetector,
+    PersistenceForecaster,
+    RefitPolicy,
+)
 
 HISTORY, HORIZON = 6, 2
 STEPS, SHIFT, KILL = 160, 100, 102
@@ -196,7 +201,7 @@ class TestFlakyRefit:
                 HORIZON,
                 detector_factory=lambda: [_FireAt(at=15)],
                 refit_fn=flaky,
-                refit_policy=FleetRefitPolicy(
+                refit_policy=RefitPolicy(
                     quorum=2, window=20, cooldown=100, background=False
                 ),
             )
@@ -291,7 +296,7 @@ class TestDegradedCandidateRollback:
                 HORIZON,
                 detector_factory=lambda: [_FireAt(at=15)],
                 refit_fn=lambda region, recents: Degraded(),
-                refit_policy=FleetRefitPolicy(
+                refit_policy=RefitPolicy(
                     quorum=2,
                     window=20,
                     cooldown=1000,

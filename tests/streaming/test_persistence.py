@@ -7,6 +7,7 @@ from repro.streaming import (
     CoverageBreachDetector,
     EventLog,
     PersistenceForecaster,
+    RefitPolicy,
     RollingStat,
     StreamingForecaster,
     StreamingMonitor,
@@ -85,8 +86,9 @@ class TestRunnerPersistence:
                 )
             ],
             aci={"mode": "static", "window": 60, "min_scores": 10},
-            cooldown=10_000,
-            background_refit=False,
+            refit_policy=RefitPolicy(
+                quorum=1, mode="immediate", cooldown=10_000, background=False
+            ),
             server=server,
         )
 
@@ -108,8 +110,7 @@ class TestRunnerPersistence:
         assert restored.monitor.snapshot() == before
         assert list(restored.event_log) == list(runner.event_log)
         assert restored.step == runner.step
-        assert restored._last_trigger == runner._last_trigger
-        assert restored._refit_count == runner._refit_count
+        assert restored.coordinator.get_state() == runner.coordinator.get_state()
 
     def test_restored_monitor_keeps_rolling_from_where_it_stopped(self, tmp_path):
         stream = _drifting_stream()
@@ -142,3 +143,104 @@ class TestRunnerPersistence:
         )
         assert restored.step == 0
         assert len(restored.event_log) == 0
+
+
+class _AlwaysFire:
+    """Detector firing on every resolved step."""
+
+    signal = "coverage"
+
+    def update(self, step, value):
+        from repro.streaming.drift import DriftEvent
+
+        if value is None:
+            return None
+        return DriftEvent(kind="coverage_breach", step=step, value=0.0, threshold=1.0)
+
+
+class TestRunnerCoordinatorState:
+    """Solo checkpoints carry the refit coordinator: cooldown clock, refit
+    count and partial quorum; a restored runner keeps its cooldown."""
+
+    COOLDOWN, SAVE_AT, STEPS = 50, 20, 100
+
+    def _runner(self, load_from=None):
+        kwargs = dict(
+            history=3,
+            horizon=2,
+            detectors=[_AlwaysFire()],
+            refit_fn=lambda recent: PersistenceForecaster(horizon=2, sigma=1.0),
+            refit_policy=RefitPolicy(
+                quorum=1, mode="immediate", cooldown=self.COOLDOWN, background=False
+            ),
+        )
+        model = PersistenceForecaster(horizon=2, sigma=1.0)
+        if load_from is not None:
+            return StreamingForecaster.load(load_from, forecaster=model, **kwargs)
+        return StreamingForecaster(model, **kwargs)
+
+    @staticmethod
+    def _starts(runner):
+        return [e.step for e in runner.event_log.of_kind("recalibration_started")]
+
+    def _checkpoint(self, tmp_path, rows):
+        runner = self._runner()
+        for row in rows[: self.SAVE_AT]:
+            runner.observe(row)
+        return runner, runner.save(tmp_path / "ckpt")
+
+    def _rows(self):
+        return 50.0 + np.random.default_rng(3).normal(size=(self.STEPS, 4))
+
+    def _uninterrupted_starts(self, rows):
+        runner = self._runner()
+        for row in rows:
+            runner.observe(row)
+        starts = self._starts(runner)
+        # The detector fires every step: one refit per cooldown period.
+        assert starts == [3, 3 + self.COOLDOWN]
+        return starts
+
+    def test_save_writes_the_coordinator_state(self, tmp_path):
+        rows = self._rows()
+        runner, directory = self._checkpoint(tmp_path, rows)
+        from repro.utils.serialization import load_checkpoint
+
+        meta, _ = load_checkpoint(directory / StreamingForecaster.STREAM_SUBDIR)
+        assert meta["format_version"] == 3
+        assert meta["coordinator"] == runner.coordinator.get_state()
+        assert meta["coordinator"]["last_trigger"] == {"stream": 3}
+        assert meta["coordinator"]["refit_count"] == 1
+        # The detector keeps firing inside the cooldown: partial quorum.
+        assert meta["coordinator"]["drifted"] == {"stream": {"stream": self.SAVE_AT - 1}}
+
+        restored = self._runner(load_from=directory)
+        assert restored.coordinator.get_state() == runner.coordinator.get_state()
+        for row in rows[self.SAVE_AT:]:
+            restored.observe(row)
+        assert self._starts(restored) == self._uninterrupted_starts(rows)
+
+    def test_checkpoints_with_flat_cooldown_keys_still_load(self, tmp_path):
+        """Format-2 stream checkpoints kept the cooldown clock and refit
+        count as flat ``last_trigger`` / ``refit_count`` keys."""
+        rows = self._rows()
+        _, directory = self._checkpoint(tmp_path, rows)
+        from repro.utils.serialization import load_checkpoint, save_checkpoint
+
+        stream_dir = directory / StreamingForecaster.STREAM_SUBDIR
+        meta, arrays = load_checkpoint(stream_dir)
+        del meta["coordinator"]
+        meta.update(format_version=2, last_trigger=3, refit_count=1)
+        save_checkpoint(stream_dir, meta, arrays)
+
+        restored = self._runner(load_from=directory)
+        state = restored.coordinator.get_state()
+        assert state["last_trigger"] == {"stream": 3}
+        assert state["refit_count"] == 1
+        # No retrigger inside the restored cooldown, despite a detector
+        # that fires on every step.
+        for row in rows[self.SAVE_AT:]:
+            restored.observe(row)
+        assert self._starts(restored) == self._uninterrupted_starts(rows)
+        # The next candidate continues the restored count.
+        assert restored.coordinator.get_state()["refit_count"] == 2

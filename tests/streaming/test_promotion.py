@@ -18,7 +18,7 @@ from repro.serving import InferenceServer
 from repro.streaming import (
     CoverageBreachDetector,
     PersistenceForecaster,
-    PromotionPolicy,
+    RefitPolicy,
     StreamingForecaster,
 )
 
@@ -51,23 +51,24 @@ def _regime_shift_stream(seed=42, quiet=60, loud=240):
     return np.concatenate([calm, shifted], axis=0)
 
 
-def _runner(server, candidate, mode, eval_steps=30):
+def _runner(server, candidate, mode, eval_steps=30, **policy):
     incumbent = PersistenceForecaster(horizon=HORIZON, sigma=1.0)
+    policy = {"cooldown": 10_000, **policy}
     return StreamingForecaster(
         incumbent,
         history=HISTORY,
         horizon=HORIZON,
         server=server,
         refit_fn=lambda recent: candidate,
-        cooldown=10_000,
-        background_refit=False,
         detectors=[
             CoverageBreachDetector(
                 nominal=0.95, tolerance=0.05, window=20, patience=5, warmup=10
             )
         ],
         aci={"mode": "static", "window": 60, "min_scores": 10},
-        promotion=PromotionPolicy(mode=mode, eval_steps=eval_steps),
+        refit_policy=RefitPolicy(
+            quorum=1, mode=mode, eval_steps=eval_steps, background=False, **policy
+        ),
     )
 
 
@@ -176,8 +177,8 @@ class TestShadowPromotionEndToEnd:
         """Regression: scored_steps once read the monitors' ring counts, which
         cap at metric_window — eval_steps > metric_window stalled forever."""
         candidate = OffsetForecaster(0.0)
-        runner = _runner(None, candidate, "shadow", eval_steps=60)
-        runner.promotion_policy.metric_window = 20  # much shorter than eval
+        # metric_window much shorter than eval_steps
+        runner = _runner(None, candidate, "shadow", eval_steps=60, metric_window=20)
         for row in _regime_shift_stream(quiet=60, loud=240):
             runner.observe(row)
         kinds = [event.kind for event in runner.event_log]
@@ -188,8 +189,8 @@ class TestShadowPromotionEndToEnd:
         """The pool retains current + one rollback target, not every past model."""
         server = InferenceServer(max_batch_size=4, max_wait_ms=1.0, cache_size=0)
         server.deploy("incumbent", PersistenceForecaster(horizon=HORIZON, sigma=1.0))
-        runner = _runner(server, OffsetForecaster(0.0), "shadow")
-        runner.cooldown = 30  # allow several drift -> trial cycles
+        # cooldown=30 allows several drift -> trial cycles
+        runner = _runner(server, OffsetForecaster(0.0), "shadow", cooldown=30)
         stream = np.concatenate(
             [_regime_shift_stream(seed=s, quiet=30, loud=150) for s in (1, 2, 3)]
         )
@@ -210,10 +211,36 @@ class TestShadowPromotionEndToEnd:
         assert "incumbent" not in server.pool
         assert server.pool.default_name.startswith("stream-cand")
 
+    def test_manual_rollback_target_survives_the_next_promotion(self):
+        """An operator rolls the default route back to the displaced
+        incumbent; the next promotion displaces it again and must keep it
+        as the rollback target instead of retiring it."""
+        server = InferenceServer(max_batch_size=4, max_wait_ms=1.0, cache_size=0)
+        server.deploy("incumbent", PersistenceForecaster(horizon=HORIZON, sigma=1.0))
+        runner = StreamingForecaster(
+            PersistenceForecaster(horizon=HORIZON, sigma=1.0),
+            history=HISTORY,
+            horizon=HORIZON,
+            server=server,
+            refit_fn=lambda recent: PersistenceForecaster(horizon=HORIZON, sigma=1.0),
+            detectors=[_FireOnce(at=10), _FireOnce(at=30)],
+            refit_policy=RefitPolicy(
+                quorum=1, mode="immediate", cooldown=5, background=False
+            ),
+        )
+        with server:
+            for step in range(40):
+                runner.observe(np.full(NODES, 50.0))
+                if step == 11:  # the first refit was promoted at step 11
+                    assert server.pool.default_name == "stream-cand1"
+                    assert server.rollback() == "incumbent"
+        assert server.pool.default_name == "stream-cand2"
+        assert "incumbent" in server.pool
+        assert server.rollback() == "incumbent"
+
     def test_canary_serves_its_share_of_runner_forecasts(self):
         candidate = OffsetForecaster(0.0)
-        runner = _runner(None, candidate, "canary", eval_steps=10_000)
-        runner.promotion_policy.canary_fraction = 0.25
+        runner = _runner(None, candidate, "canary", eval_steps=10_000, canary_fraction=0.25)
         served = []
         for row in _regime_shift_stream(quiet=60, loud=160):
             served.append(runner.observe(row).served_by)
@@ -223,3 +250,76 @@ class TestShadowPromotionEndToEnd:
         start = next(i for i, s in enumerate(served) if s == "candidate")
         window = served[start - 1 :]
         assert abs(window.count("candidate") / len(window) - 0.25) < 0.05
+
+
+class _Broken:
+    def predict(self, windows):
+        raise RuntimeError("corrupt checkpoint")
+
+
+class _FireOnce:
+    """Deterministic detector: one coverage-breach event at a fixed step."""
+
+    signal = "coverage"
+
+    def __init__(self, at):
+        self.at = int(at)
+
+    def update(self, step, value):
+        from repro.streaming import DriftEvent
+
+        if step == self.at:
+            return DriftEvent(kind="coverage_breach", step=step, value=0.0, threshold=0.0)
+        return None
+
+
+class TestTrialFailuresAndVerdicts:
+    def test_broken_candidate_fails_its_trial_without_wedging_the_loop(self):
+        """Regression: a candidate whose predict raised made every later
+        observe raise, re-resolving the same row on each retry."""
+        server = InferenceServer(max_batch_size=4, max_wait_ms=1.0, cache_size=0)
+        server.deploy("incumbent", PersistenceForecaster(horizon=HORIZON, sigma=1.0))
+        caller_router = server.router
+        runner = _runner(server, _Broken(), "shadow")
+        with server:
+            results = [runner.observe(row) for row in _regime_shift_stream()]
+
+        kinds = [event.kind for event in runner.event_log]
+        assert kinds.count("candidate_staged") == 1
+        assert kinds.count("candidate_failed") == 1
+        assert "candidate_promoted" not in kinds and "candidate_rejected" not in kinds
+        assert runner.trial is None
+        # The candidate is retired and the caller's routing is back.
+        assert "stream-cand1" not in server.pool
+        assert server.pool.default_name == "incumbent"
+        assert server.router is caller_router
+        # Every row advanced the stream exactly once, and the incumbent kept
+        # forecasting through the failure.
+        assert [result.step for result in results] == list(range(len(results)))
+        (failed,) = runner.event_log.of_kind("candidate_failed")
+        after = results[failed.step]
+        assert "candidate_failed" in [event.kind for event in after.events]
+        assert after.prediction is not None and after.served_by == "incumbent"
+        assert all(result.prediction is not None for result in results[failed.step:])
+
+    def test_verdicts_are_not_drift(self):
+        """Regression: the loop counted its own candidate_promoted verdict as
+        drift, so one breach with cooldown < eval_steps relaunched refits
+        every few steps (18 refits in 200 steps)."""
+        runner = StreamingForecaster(
+            PersistenceForecaster(horizon=HORIZON, sigma=1.0),
+            history=HISTORY,
+            horizon=HORIZON,
+            refit_fn=lambda recent: PersistenceForecaster(horizon=HORIZON, sigma=1.0),
+            detectors=[_FireOnce(at=12)],
+            aci={"mode": "static", "window": 60, "min_scores": 10},
+            refit_policy=RefitPolicy(
+                quorum=1, mode="shadow", cooldown=5, eval_steps=10, background=False
+            ),
+        )
+        for _ in range(200):
+            runner.observe(np.full(NODES, 50.0))
+        starts = runner.event_log.of_kind("recalibration_started")
+        assert len(starts) == 1
+        assert starts[0].step == 12 and starts[0].message == "triggered by coverage_breach"
+        assert len(runner.event_log.of_kind("candidate_promoted")) == 1

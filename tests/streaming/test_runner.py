@@ -20,6 +20,7 @@ from repro.streaming import (
     AdaptiveConformalCalibrator,
     CoverageBreachDetector,
     PersistenceForecaster,
+    RefitPolicy,
     StreamingForecaster,
     StreamingMonitor,
 )
@@ -132,6 +133,10 @@ class TestObserveLoop:
         with pytest.raises(ValueError, match="history"):
             StreamingForecaster(lambda windows: None)
 
+    def test_refit_policy_needs_a_quorum_of_one(self):
+        with pytest.raises(ValueError, match="quorum must be 1"):
+            self._runner(refit_policy=RefitPolicy(quorum=2))
+
     def test_nan_observations_are_carried_forward(self):
         runner = self._runner()
         runner.observe(np.array([1.0, 2.0, 3.0, 4.0]))
@@ -188,8 +193,7 @@ class TestDriftTriggeredSwap:
             horizon=2,
             server=server,
             refit_fn=refit_fn,
-            cooldown=10_000,
-            background_refit=True,
+            refit_policy=RefitPolicy(quorum=1, mode="immediate", cooldown=10_000),
             detectors=[
                 CoverageBreachDetector(
                     nominal=0.95, tolerance=0.05, window=20, patience=5, warmup=10
@@ -214,6 +218,7 @@ class TestDriftTriggeredSwap:
             for row in stream:
                 runner.observe(row)
             runner.join_refit()
+            runner.observe(stream[-1])  # a finished refit is adopted at the next step
             stop.set()
             thread.join(timeout=10.0)
             results = [future.result(timeout=30.0) for future in futures]
@@ -222,10 +227,10 @@ class TestDriftTriggeredSwap:
         assert len(results) == len(futures) > 0
         assert all(isinstance(result, PredictionResult) for result in results)
         assert server.stats["requests_served"] == len(futures)
-        # The drift actually triggered a refit that was published via swap.
+        # The drift actually triggered a refit, published by deploy + promote.
         assert len(refit_calls) == 1
         assert refit_calls[0].shape[1] == 4
-        assert server.stats["models_swapped"] >= 1
+        assert server.stats["promotions"] >= 1
         assert server.model_version == "stream-recal1"
         kinds = {event.kind for event in runner.event_log}
         assert {"coverage_breach", "recalibration_started", "model_swapped",
@@ -261,14 +266,14 @@ class TestDriftTriggeredSwap:
             history=2, horizon=2,
             refit_fn=slow_refit,
             detectors=[AlwaysFire()],
-            cooldown=1,
-            background_refit=True,
+            refit_policy=RefitPolicy(quorum=1, mode="immediate", cooldown=1),
         )
         for _ in range(30):
             runner.observe(np.full(3, 1.0))
         assert len(started) == 1  # every later trigger saw the in-flight refit
         release.set()
         runner.join_refit()
+        runner.observe(np.full(3, 1.0))  # adopts the finished refit
         assert runner.event_log.of_kind("recalibration_started")
         assert len(runner.event_log.of_kind("model_swapped")) == 0  # no server
         assert runner.forecaster.sigma == 9.0
@@ -292,8 +297,9 @@ class TestDriftTriggeredSwap:
             PersistenceForecaster(horizon=2, sigma=1.0),
             history=2, horizon=2,
             detectors=[AlwaysFire()],
-            cooldown=30,
-            background_refit=False,
+            refit_policy=RefitPolicy(
+                quorum=1, mode="immediate", cooldown=30, background=False
+            ),
         )
         for _ in range(70):
             runner.observe(np.full(3, 1.0))
@@ -310,8 +316,9 @@ class TestDriftTriggeredSwap:
             PersistenceForecaster(horizon=2, sigma=1.0),
             history=2, horizon=2,
             refit_fn=broken_refit,
-            background_refit=False,
-            cooldown=10_000,
+            refit_policy=RefitPolicy(
+                quorum=1, mode="immediate", cooldown=10_000, background=False
+            ),
             detectors=[
                 CoverageBreachDetector(
                     nominal=0.95, tolerance=0.05, window=10, patience=3, warmup=5
