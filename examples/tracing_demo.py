@@ -15,7 +15,7 @@ real HTTP gateway:
    through the router into the batch worker and the model pass;
 3. drive a small :class:`~repro.fleet.StreamFleet` through warmup so every
    tick is its own trace and the per-tick phases (``window_build``,
-   ``batch_wait``, ``model_forward``, ``unscale``, ``aci_update``, ...)
+   ``batch_wait``, ``model_forward``, ``calibrate``, ``aci_update``, ...)
    accumulate in the profiler — then print the cost breakdown;
 4. print the structured event ring (promotions, drift, chaos would land
    here too) and the obs families a Prometheus scrape exports.

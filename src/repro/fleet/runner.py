@@ -42,10 +42,10 @@ from repro.obs.trace import start_trace
 from repro.fleet.spatial import SpatialDriftAggregator
 from repro.fleet.streams import FleetStream
 from repro.serving.router import KeyRouter, Router
+from repro.streaming import shard
 from repro.streaming.drift import DRIFT_KINDS, DriftEvent, EventLog
 from repro.streaming.promotion import RefitCoordinator, RefitFn, RefitPolicy, Trial
 from repro.streaming.runner import StepResult
-from repro.streaming.shard import StreamCore
 from repro.utils.jsonsafe import json_ready
 
 
@@ -111,7 +111,10 @@ class StreamFleet:
     version_prefix:
         Prefix of coordinated candidate deployment names/versions.
     timeout:
-        Per-tick bound on waiting for the server's prediction futures.
+        Per-tick bound on waiting for the server's prediction futures: one
+        deadline per tick, shared by every future (incumbent and candidate)
+        the tick waits on.  A future still pending at the deadline counts
+        as failed.
     drift_kinds:
         Per-stream event kinds that count as drift for refit-quorum
         counting; extend it when ``detector_factory`` builds custom
@@ -227,7 +230,7 @@ class StreamFleet:
             monitor = StreamingMonitor(
                 window=self.monitor_window, significance=significance
             )
-        core = StreamCore(
+        core = shard.StreamCore(
             self.history,
             self.horizon,
             aci={**self.default_aci, **(aci or {})},
@@ -292,10 +295,11 @@ class StreamFleet:
 
         ``observations`` maps stream names to their new observation rows
         (streams without a row this tick are simply skipped).  Phases:
-        resolve + drift-detect each stream, aggregate spatially, settle
-        trial verdicts, stage finished refits, check refit quorums, then
-        batch-submit every warm window through the shared server and record
-        the calibrated forecasts.
+        resolve every observed stream in one batch, then drift-detect each
+        stream; aggregate spatially, settle trial verdicts, stage finished
+        refits, check refit quorums, then batch-submit every warm window
+        through the shared server and record the calibrated forecasts in
+        one batch.
 
         When tracing is enabled each tick is its own trace: the root
         ``fleet.tick`` span is active on this thread for the whole tick, so
@@ -338,15 +342,22 @@ class StreamFleet:
         fleet_events: List[DriftEvent] = []
         ingested: Dict[str, Tuple[FleetStream, int, np.ndarray, np.ndarray]] = {}
 
-        # Phase 1 — observe: resolve pending forecasts, update calibration,
-        # run detectors, feed the trial / coordinator / spatial layers.
-        for name, stream in self.streams.items():
-            if name not in normalized:
-                continue
+        # Phase 1 — observe: resolve every observed stream's pending
+        # forecasts in one batch (calibration and monitors), then, stream by
+        # stream, feed the trial / detectors / coordinator / spatial layers.
+        observed = [
+            (name, stream) for name, stream in self.streams.items() if name in normalized
+        ]
+        batch = shard.resolve_many(
+            [stream.core for _, stream in observed],
+            [stream.core.step for _, stream in observed],
+            [normalized[name][0] for name, _ in observed],
+            [normalized[name][1] for name, _ in observed],
+        )
+        for (name, stream), resolved in zip(observed, batch):
             core = stream.core
             obs, valid = normalized[name]
             s = core.step
-            resolved = core.resolve(s, obs, valid)
             trial = self._trial_for(stream.region)
             if trial is not None:
                 trial.observe_incumbent(name, resolved)
@@ -439,14 +450,22 @@ class StreamFleet:
             profiling = profiling_enabled()
             wait_seconds, waited = 0.0, 0
             futures = self.server.submit_many(windows, keys=keys, deployments=deployments)
+            deadline = (
+                time.monotonic() + self.timeout if self.timeout is not None else None
+            )
+
+            def remaining() -> Optional[float]:
+                return None if deadline is None else max(deadline - time.monotonic(), 0.0)
+
             # Every future is consumed under try/except: a deployment whose
             # predict raises (or times out) must degrade to a missing
             # forecast — not abort the tick mid-way, which would strand every
             # stream's step/pending ledger at an un-advanced state.
+            arrived: List[Tuple[str, Any]] = []
             for name, future in zip(warm, futures[: len(warm)]):
                 wait_start = time.perf_counter() if profiling else 0.0
                 try:
-                    raw = future.result(timeout=self.timeout)
+                    raw = future.result(timeout=remaining())
                 except Exception as error:
                     fleet_events.append(
                         self.event_log.append(
@@ -464,14 +483,19 @@ class StreamFleet:
                     if profiling:
                         wait_seconds += time.perf_counter() - wait_start
                         waited += 1
-                predictions[name] = self.streams[name].core.record(raw)
+                arrived.append((name, raw))
+            recorded = shard.record_many(
+                [self.streams[name].core for name, _ in arrived],
+                [raw for _, raw in arrived],
+            )
+            predictions.update(zip([name for name, _ in arrived], recorded))
             failed_trials: Dict[str, Tuple[Trial, Exception]] = {}
             for (trial, name), future in zip(trial_slots, futures[len(warm):]):
                 if trial.region in failed_trials:
                     continue
                 wait_start = time.perf_counter() if profiling else 0.0
                 try:
-                    candidate_raw = future.result(timeout=self.timeout)
+                    candidate_raw = future.result(timeout=remaining())
                 except Exception as error:
                     failed_trials[trial.region] = (trial, error)
                     continue

@@ -103,18 +103,24 @@ def _validate(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
     return converted
 
 
-def conformal_quantile_level(n: int, significance: float) -> float:
+def conformal_quantile_level(
+    n: Union[int, np.ndarray], significance: Union[float, np.ndarray]
+) -> Union[float, np.ndarray]:
     """Finite-sample corrected conformal quantile level.
 
     ``ceil((n + 1)(1 - alpha)) / n``, capped at 1 — the level at which the
     empirical quantile of ``n`` nonconformity scores yields the
     distribution-free ``1 - alpha`` coverage guarantee.  Shared by the batch
     conformal method and the streaming ACI calibrator so the correction can
-    never diverge between the two layers.
+    never diverge between the two layers.  Elementwise over arrays (the
+    calibrator evaluates every stream and horizon at once); a float for
+    scalars.
     """
-    if n < 1:
+    count = np.asarray(n)
+    if np.any(count < 1):
         raise ValueError("n must be >= 1")
-    return min(np.ceil((n + 1) * (1.0 - significance)) / n, 1.0)
+    level = np.minimum(np.ceil((count + 1) * (1.0 - significance)) / count, 1.0)
+    return float(level) if level.ndim == 0 else level
 
 
 def interval_bounds(

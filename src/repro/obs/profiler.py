@@ -3,12 +3,19 @@
 The fleet tick is the system's inner loop; before attacking its hot path we
 need to know *where inside a tick* time goes.  :class:`PhaseProfiler` keeps,
 per named phase (``window_build``, ``batch_wait``, ``model_forward``,
-``unscale``, ``aci_update``, ``monitor_update``, ``drift_detect``,
+``calibrate``, ``aci_update``, ``monitor_update``, ``drift_detect``,
 ``spatial_agg``, ``checkpoint``):
 
 * an exact running ``count`` and ``total`` seconds (monotonic — what the
   Prometheus ``_count`` / ``_sum`` series render);
 * a bounded ring of the most recent samples for p50/p99 readouts.
+
+A phase counts once per occurrence of the work it times.  The stream cores
+calibrate, resolve and monitor a fleet tick's streams in one batch
+(:func:`repro.streaming.shard.record_many` / ``resolve_many``), so
+``calibrate``, ``aci_update`` and ``monitor_update`` count once per batch
+(once per tick per sensor-count group), not once per stream; a solo runner's
+batch is its one stream.
 
 Instrumented code uses the module-level :func:`phase` context manager (or
 :func:`record_phase` when it already timed the interval itself — the batch
@@ -40,7 +47,7 @@ PHASES = (
     "window_build",
     "batch_wait",
     "model_forward",
-    "unscale",
+    "calibrate",
     "aci_update",
     "monitor_update",
     "drift_detect",

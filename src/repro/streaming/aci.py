@@ -42,9 +42,11 @@ pseudo-std interval.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
+from itertools import groupby
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -64,25 +66,283 @@ ACI_INTERVAL_MODES = ("scaled", "native", "auto")
 ACI_FORMAT_VERSION = 1
 
 
-def _sorted_quantile(sorted_values: List[float], level: float) -> float:
-    """Linear-interpolated quantile of an already-sorted list.
+def conformal_levels(
+    calibrators: Sequence["AdaptiveConformalCalibrator"], native: bool
+) -> np.ndarray:
+    """Current per-horizon multipliers (or native margins) of many calibrators.
 
-    Bit-identical to ``np.quantile(values, level)`` (the default ``linear``
-    method), including NumPy's symmetric lerp — ``b - (b - a) * (1 - t)``
-    when the fractional part is >= 0.5 — so switching the calibrator to the
-    sorted ring cannot move any pinned golden value.
+    Returns ``(calibrators, horizon)``: row ``i`` is what
+    ``calibrators[i].quantiles()`` (``native=False``) or ``.margins()``
+    (``native=True``) reads.  A horizon with at least ``min_scores``
+    buffered scores reads the finite-sample-corrected empirical quantile of
+    its sorted mirror at level ``1 - alpha_t``; below that a scaled
+    calibrator falls back to the Gaussian multiplier and a native one to a
+    zero margin.
+
+    The warm quantiles are one array expression over every calibrator and
+    horizon, bit-identical to ``np.quantile(scores, level)`` (the default
+    ``linear`` method), including NumPy's symmetric lerp
+    ``b - (b - a) * (1 - t)`` when the fractional part is >= 0.5.  Only the
+    two neighbouring order statistics are read per entry, from the sorted
+    mirrors.  The Gaussian fallback stays one scalar ``norm_ppf`` per
+    entry: it only runs while a stream warms up.
     """
-    n = len(sorted_values)
-    position = min(max(level, 0.0), 1.0) * (n - 1)
-    low = int(position)
-    t = position - low
-    a = sorted_values[low]
-    if t == 0.0 or low + 1 >= n:
-        return a
-    b = sorted_values[low + 1]
-    if t >= 0.5:
-        return b - (b - a) * (1.0 - t)
-    return a + (b - a) * t
+    alpha = np.stack([calibrator.alpha_t for calibrator in calibrators])
+    count = np.stack([calibrator._count for calibrator in calibrators])
+    min_scores = np.array([calibrator.config.min_scores for calibrator in calibrators])
+    warm = count >= min_scores[:, None]
+    levels = np.zeros(alpha.shape, dtype=np.float64)
+    if warm.any():
+        # Boolean masks read and write in np.nonzero's order; (rows, cols)
+        # fancy indexing would release the interpreter lock.
+        rows, cols = np.nonzero(warm)
+        n = count[warm]
+        corrected = conformal_quantile_level(n, alpha[warm])
+        position = np.minimum(np.maximum(corrected, 0.0), 1.0) * (n - 1)
+        low = position.astype(np.int64)
+        t = position - low
+        below, above = [], []
+        for row, col, index in zip(rows.tolist(), cols.tolist(), low.tolist()):
+            ordered = calibrators[row]._sorted[col]
+            below.append(ordered[index])
+            above.append(ordered[index + 1] if index + 1 < len(ordered) else ordered[index])
+        a = np.array(below, dtype=np.float64)
+        b = np.array(above, dtype=np.float64)
+        blend = np.where(t >= 0.5, b - (b - a) * (1.0 - t), a + (b - a) * t)
+        levels[warm] = np.where((t == 0.0) | (low + 1 >= n), a, blend)
+    if not native:
+        for row, col in zip(*np.nonzero(~warm)):
+            levels[row, col] = norm_ppf(0.5 + (1.0 - alpha[row, col]) / 2.0)
+    return levels
+
+
+def native_bounds(
+    calibrators: Sequence["AdaptiveConformalCalibrator"],
+    result: PredictionResult,
+    scale: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The bounds native-mode nonconformity is scored and margined against.
+
+    ``result`` stacks one equal share of windows per calibrator and
+    ``scale`` is its :meth:`AdaptiveConformalCalibrator._scale`.  These are
+    the method's own bounds when it supplies them; otherwise (a
+    Gaussian-bound model meeting a native-latched calibrator, e.g. a refit
+    candidate of a different family trialed on a quantile stream) they are
+    per-horizon Gaussian bounds at level ``1 - alpha_t``, synthesized from
+    the predictive std, so the additive (data-unit) margins stay
+    unit-consistent instead of being misread as multipliers.
+    """
+    if result.has_native_bounds:
+        return result.lower, result.upper
+    per = result.mean.shape[0] // len(calibrators)
+    z = np.array(
+        [
+            [norm_ppf(0.5 + (1.0 - alpha) / 2.0) for alpha in calibrator.alpha_t]
+            for calibrator in calibrators
+        ]
+    )
+    half = np.repeat(z, per, axis=0)[:, :, None] * scale
+    return result.mean - half, result.mean + half
+
+
+def calibrated_bounds(
+    calibrators: Sequence["AdaptiveConformalCalibrator"],
+    result: PredictionResult,
+    scale: np.ndarray,
+    reference: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Width-adapted ``(lower, upper)`` bounds of a stacked result.
+
+    ``result`` stacks one equal share of windows per calibrator.  Scaled
+    calibrators (``reference=None``) emit ``mean ± q_h * scale``; native
+    ones widen (or shrink) the ``reference`` bounds from
+    :func:`native_bounds` by their additive margins.
+    """
+    per = result.mean.shape[0] // len(calibrators)
+    if reference is not None:
+        margin = np.repeat(conformal_levels(calibrators, native=True), per, axis=0)[:, :, None]
+        lower = reference[0] - margin
+        upper = reference[1] + margin
+        # A strongly negative margin could cross the bounds; clamp at the
+        # midpoint so the interval degenerates rather than inverts.
+        mid = 0.5 * (lower + upper)
+        return np.minimum(lower, mid), np.maximum(upper, mid)
+    half = np.repeat(conformal_levels(calibrators, native=False), per, axis=0)[:, :, None] * scale
+    return result.mean - half, result.mean + half
+
+
+def fold_bounds(
+    result: PredictionResult, lower: np.ndarray, upper: np.ndarray, native: bool
+) -> PredictionResult:
+    """``result`` with calibrated bounds folded in (see :meth:`~AdaptiveConformalCalibrator.calibrate`)."""
+    if native:
+        return result.replace_interval_bounds(lower, upper)
+    return result.replace_interval_std((upper - lower) / (2.0 * Z_95))
+
+
+def nonconformity(
+    observed: np.ndarray,
+    mean: np.ndarray,
+    scale: np.ndarray,
+    lower: Optional[np.ndarray] = None,
+    upper: Optional[np.ndarray] = None,
+    native: Union[bool, np.ndarray] = False,
+) -> np.ndarray:
+    """Per-entry nonconformity scores, elementwise over aligned arrays.
+
+    Entries flagged ``native`` (all of them for ``True``, or a boolean mask)
+    score against the method's own bounds, ``max(lower - y, y - upper)``
+    (the CQR score); the rest use the locally-weighted residual
+    ``|y - mean| / scale``.  Without bounds every entry is scaled.
+    """
+    if lower is None or upper is None or not np.any(native):
+        return np.abs(observed - mean) / scale
+    if np.all(native):
+        return np.maximum(lower - observed, observed - upper)
+    scores = np.empty(observed.shape, dtype=np.float64)
+    scores[native] = np.maximum(lower[native] - observed[native], observed[native] - upper[native])
+    scaled = ~native
+    scores[scaled] = np.abs(observed[scaled] - mean[scaled]) / scale[scaled]
+    return scores
+
+
+def update_many(
+    calibrators: Sequence["AdaptiveConformalCalibrator"],
+    owners: Sequence[int],
+    horizons: Sequence[int],
+    scores: np.ndarray,
+    lengths: Sequence[int],
+    miscoverage: np.ndarray,
+    locks: Optional[Sequence[Any]] = None,
+) -> None:
+    """Fold resolved horizon rows into their calibrators in one pass.
+
+    Row ``k`` belongs to ``calibrators[owners[k]]`` at step-ahead
+    ``horizons[k]``; its nonconformity scores are the next ``lengths[k]``
+    entries of the flat ``scores``, and ``miscoverage[k]`` is the realized
+    miscoverage of the interval emitted for it (NaN: none observed).
+    Non-finite scores are dropped, the ``"aci"`` ``alpha_t`` updates are one
+    array expression over every row, and each row's scores then enter its
+    ring and sorted mirror in order, a scalar loop by nature.  A
+    ``(calibrator, horizon)`` pair that repeats is folded one row at a time,
+    so the result is always that of the rows applied in order.
+
+    With ``locks``, calibrator ``i``'s mutations run under ``locks[i]``,
+    one lock at a time.  Each row's ``alpha_t``, ring cursor, fill and
+    freeze flag are read before and written under it, so the calibrators
+    need a single writer (the loop that resolves them); readers that take
+    the lock see whole rows.
+    """
+    owners = np.asarray(owners, dtype=np.intp).reshape(-1)
+    horizons = np.asarray(horizons, dtype=np.intp).reshape(-1)
+    lengths = np.asarray(lengths, dtype=np.intp).reshape(-1)
+    miscoverage = np.asarray(miscoverage, dtype=np.float64).reshape(-1)
+    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+    limits = np.array([calibrator.horizon for calibrator in calibrators])[owners]
+    bad = np.flatnonzero((horizons < 0) | (horizons >= limits))
+    if bad.size:
+        raise IndexError(
+            f"horizon index {horizons[bad[0]]} out of range for horizon {limits[bad[0]]}"
+        )
+    if not owners.size:
+        return
+    # A set, not np.unique / np.sort, which release the interpreter lock
+    # (see repro.streaming.shard).
+    keys = (owners * (int(limits.max()) + 1) + horizons).tolist()
+    if len(set(keys)) < len(keys):
+        ends = np.cumsum(lengths)
+        for k in range(owners.size):
+            update_many(
+                calibrators, owners[k : k + 1], horizons[k : k + 1],
+                scores[ends[k] - lengths[k] : ends[k]], lengths[k : k + 1],
+                miscoverage[k : k + 1], locks,
+            )
+        return
+    finite = np.isfinite(scores)
+    if not finite.all():
+        kept = np.concatenate(([0], np.cumsum(finite)))
+        ends = np.cumsum(lengths)
+        lengths = kept[ends] - kept[ends - lengths]
+        scores = scores[finite]
+
+    configs = [calibrator.config for calibrator in calibrators]
+    adaptive = np.array(
+        [config.mode == "aci" and config.gamma > 0.0 for config in configs], dtype=bool
+    )[owners] & ~np.isnan(miscoverage)
+    alpha: List[Optional[float]] = [None] * owners.size
+    moved = np.flatnonzero(adaptive)
+    if moved.size:
+        row_owners = owners[moved]
+        gamma = np.array([config.gamma for config in configs])[row_owners]
+        significance = np.array([config.significance for config in configs])[row_owners]
+        clip = np.array([config.alpha_clip for config in configs])[row_owners]
+        current = np.array(
+            [
+                calibrators[owner].alpha_t[h]
+                for owner, h in zip(row_owners.tolist(), horizons[moved].tolist())
+            ],
+            dtype=np.float64,
+        )
+        updated = np.clip(
+            current + gamma * (significance - miscoverage[moved]), clip, 1.0 - clip
+        )
+        for k, value in zip(moved.tolist(), updated.tolist()):
+            alpha[k] = value
+
+    # Each row's ring cursor, fill and freeze flag, read in one pass.
+    first_slot = np.cumsum([0] + [calibrator.horizon for calibrator in calibrators])
+    slots = first_slot[owners] + horizons
+    cursors = np.concatenate([c._pos for c in calibrators])[slots].tolist()
+    fills = np.concatenate([c._count for c in calibrators])[slots].tolist()
+    frozen = np.concatenate([c._frozen for c in calibrators])[slots].tolist()
+    values = scores.tolist()
+    ends = np.cumsum(lengths).tolist()
+    starts = (np.cumsum(lengths) - lengths).tolist()
+    owner_list, horizon_list = owners.tolist(), horizons.tolist()
+    for owner, run in groupby(range(len(owner_list)), key=owner_list.__getitem__):
+        rows = list(run)
+        calibrator = calibrators[owner]
+        window = calibrator.config.window
+        with locks[owner] if locks is not None else nullcontext():
+            calibrator.updates += len(rows)
+            for row in rows:
+                h = horizon_list[row]
+                if alpha[row] is not None:
+                    calibrator.alpha_t[h] = alpha[row]
+                start, end = starts[row], ends[row]
+                if start == end or frozen[row]:
+                    continue
+                start = max(start, end - window)
+                n, pos, count = end - start, cursors[row], fills[row]
+                ring = calibrator._scores[h]
+                cells = (
+                    slice(pos, pos + n)
+                    if pos + n <= window
+                    else np.array([(pos + i) % window for i in range(n)])
+                )
+                # Sorted-mirror maintenance: each insert evicts the oldest
+                # score once the window is full, removing it from the sorted
+                # list by bisect before the replacement is insort-ed back
+                # in.  The n <= window cells are distinct, so every evicted
+                # score is read before the row's ring writes.
+                mirror = calibrator._sorted[h]
+                free = window - count
+                if n > free:
+                    evicted = ring[cells].tolist()
+                    for index in range(n):
+                        if index >= free:
+                            mirror.pop(bisect_left(mirror, evicted[index]))
+                        insort(mirror, values[start + index])
+                else:
+                    for index in range(start, end):
+                        insort(mirror, values[index])
+                ring[cells] = scores[start:end]
+                count = min(count + n, window)
+                calibrator._pos[h] = (pos + n) % window
+                calibrator._count[h] = count
+                if count == window and calibrator.config.mode == "static":
+                    # Split-conformal baseline: calibration set fixed once full.
+                    calibrator._frozen[h] = True
 
 
 @dataclass
@@ -187,17 +447,7 @@ class AdaptiveConformalCalibrator:
         ``1 - alpha_t[h]``; before that it is the Gaussian multiplier at the
         same level, so early-stream intervals are sensible rather than empty.
         """
-        cfg = self.config
-        quantiles = np.empty(self.horizon, dtype=np.float64)
-        for h in range(self.horizon):
-            level = 1.0 - self.alpha_t[h]
-            n = int(self._count[h])
-            if n < cfg.min_scores:
-                quantiles[h] = norm_ppf(0.5 + level / 2.0)
-                continue
-            corrected = conformal_quantile_level(n, self.alpha_t[h])
-            quantiles[h] = _sorted_quantile(self._sorted[h], corrected)
-        return quantiles
+        return conformal_levels([self], native=False)[0]
 
     def margins(self) -> np.ndarray:
         """Current per-horizon *additive* margins ``m_h`` (native-bound mode).
@@ -209,15 +459,7 @@ class AdaptiveConformalCalibrator:
         Margins may be negative — CQR legitimately *shrinks* native bounds
         that prove too conservative on the stream.
         """
-        cfg = self.config
-        margins = np.zeros(self.horizon, dtype=np.float64)
-        for h in range(self.horizon):
-            n = int(self._count[h])
-            if n < cfg.min_scores:
-                continue
-            corrected = conformal_quantile_level(n, self.alpha_t[h])
-            margins[h] = _sorted_quantile(self._sorted[h], corrected)
-        return margins
+        return conformal_levels([self], native=True)[0]
 
     @staticmethod
     def _scale(result: PredictionResult) -> np.ndarray:
@@ -250,26 +492,12 @@ class AdaptiveConformalCalibrator:
         use the locally-weighted residual ``|y - mean| / scale``.  All
         arrays are 1-D over the *observed* sensors.
         """
-        if self.uses_native() and lower is not None and upper is not None:
-            return np.maximum(lower - observed, observed - upper)
-        return np.abs(observed - mean) / scale
+        return nonconformity(observed, mean, scale, lower, upper, native=self.uses_native())
 
     def native_reference(self, result: PredictionResult) -> Tuple[np.ndarray, np.ndarray]:
-        """The bounds native-mode nonconformity is scored/margined against.
-
-        The method's own bounds when it supplies them; otherwise — a
-        Gaussian-bound model meeting a native-latched calibrator, e.g. a
-        refit candidate of a different family trialed on a quantile stream —
-        per-horizon Gaussian bounds at level ``1 - alpha_t`` synthesized
-        from the predictive std, so the additive (data-unit) margins stay
-        unit-consistent instead of being misread as multipliers.
-        """
-        if result.has_native_bounds:
-            return result.lower, result.upper
-        half = np.array(
-            [norm_ppf(0.5 + (1.0 - alpha) / 2.0) for alpha in self.alpha_t]
-        ).reshape(1, -1, 1) * self._scale(result)
-        return result.mean - half, result.mean + half
+        """The bounds native-mode nonconformity is scored/margined against
+        (see :func:`native_bounds`)."""
+        return native_bounds([self], result, self._scale(result))
 
     def intervals(self, result: PredictionResult) -> Tuple[np.ndarray, np.ndarray]:
         """Width-adapted ``(lower, upper)`` bounds for a batch result."""
@@ -277,17 +505,11 @@ class AdaptiveConformalCalibrator:
             raise ValueError(
                 f"result has horizon {result.mean.shape[1]}, calibrator expects {self.horizon}"
             )
-        if self.uses_native(result):
-            native_lower, native_upper = self.native_reference(result)
-            margin = self.margins().reshape(1, -1, 1)
-            lower = native_lower - margin
-            upper = native_upper + margin
-            # A strongly negative margin could cross the bounds; clamp at the
-            # midpoint so the interval degenerates rather than inverts.
-            mid = 0.5 * (lower + upper)
-            return np.minimum(lower, mid), np.maximum(upper, mid)
-        half = self.quantiles().reshape(1, -1, 1) * self._scale(result)
-        return result.mean - half, result.mean + half
+        scale = self._scale(result)
+        reference = (
+            native_bounds([self], result, scale) if self.uses_native(result) else None
+        )
+        return calibrated_bounds([self], result, scale, reference)
 
     def calibrate(self, result: PredictionResult) -> PredictionResult:
         """Result with the conformal interval folded back in.
@@ -310,9 +532,7 @@ class AdaptiveConformalCalibrator:
         Lets the per-step hot path run :meth:`intervals` once and reuse its
         output, instead of re-deriving the per-horizon margins twice.
         """
-        if self.uses_native(result):
-            return result.replace_interval_bounds(lower, upper)
-        return result.replace_interval_std((upper - lower) / (2.0 * Z_95))
+        return fold_bounds(result, lower, upper, self.uses_native(result))
 
     # ------------------------------------------------------------------ #
     # Online updates
@@ -324,6 +544,8 @@ class AdaptiveConformalCalibrator:
         miscoverage: Optional[float] = None,
     ) -> None:
         """Fold one resolved horizon row into the calibration state.
+
+        A one-row :func:`update_many`.
 
         Parameters
         ----------
@@ -337,45 +559,15 @@ class AdaptiveConformalCalibrator:
             row (fraction of observed sensors outside it); drives the
             ``alpha_t`` update in ``"aci"`` mode.
         """
-        h = int(horizon_index)
-        if not 0 <= h < self.horizon:
-            raise IndexError(f"horizon index {h} out of range for horizon {self.horizon}")
-        cfg = self.config
         scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-        scores = scores[np.isfinite(scores)]
-        self.updates += 1
-        if cfg.mode == "aci" and miscoverage is not None and cfg.gamma > 0.0:
-            self.alpha_t[h] = np.clip(
-                self.alpha_t[h] + cfg.gamma * (cfg.significance - float(miscoverage)),
-                cfg.alpha_clip,
-                1.0 - cfg.alpha_clip,
-            )
-        if scores.size == 0 or self._frozen[h]:
-            return
-        if scores.size >= cfg.window:
-            scores = scores[-cfg.window :]
-        # Ring write + sorted-mirror maintenance: each insert evicts the
-        # oldest score once the window is full, removing it from the sorted
-        # list by bisect before the replacement is insort-ed back in.
-        sorted_h = self._sorted[h]
-        pos = int(self._pos[h])
-        count = int(self._count[h])
-        row = self._scores[h]
-        for value in scores:
-            value = float(value)
-            if count == cfg.window:
-                evicted = row[pos]
-                sorted_h.pop(bisect_left(sorted_h, evicted))
-            else:
-                count += 1
-            row[pos] = value
-            insort(sorted_h, value)
-            pos = (pos + 1) % cfg.window
-        self._pos[h] = pos
-        self._count[h] = count
-        if cfg.mode == "static" and count == cfg.window:
-            # Split-conformal baseline: calibration set fixed once full.
-            self._frozen[h] = True
+        update_many(
+            [self],
+            [0],
+            [int(horizon_index)],
+            scores,
+            [scores.size],
+            [np.nan if miscoverage is None else float(miscoverage)],
+        )
 
     def update_batch(
         self,

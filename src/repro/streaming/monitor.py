@@ -11,11 +11,15 @@ observed steps.
 Partial observations are first-class: every update takes a validity mask
 (NaN-masked sensors are simply excluded from that step's statistics), and a
 step with no valid entry at all leaves the window untouched.
+
+:func:`update_monitors` scores one step for many monitors at once (a fleet
+tick); :meth:`StreamingMonitor.update` is its one-monitor call.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from contextlib import nullcontext
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -103,6 +107,79 @@ class RollingStat:
         )
 
 
+def update_monitors(
+    monitors: Sequence["StreamingMonitor"],
+    target: np.ndarray,
+    mean: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    rows: Sequence[int],
+    mask: Optional[np.ndarray] = None,
+    locks: Optional[Sequence[Any]] = None,
+) -> List[Optional[List[float]]]:
+    """Score one step's resolved forecasts for many monitors in one pass.
+
+    The arrays are aligned ``(rows, entries)`` blocks and monitor ``i`` owns
+    the next ``rows[i]`` of them; ``mask`` marks valid entries (default
+    ``isfinite(target)``).  Each monitor's step statistics are means over
+    its own valid entries, compacted in row-major order.  Monitors are
+    grouped by their count of valid entries and each group is reduced along
+    a contiguous last axis, which NumPy sums with the same pairwise blocking
+    as the 1-D array a one-monitor update reduces, so every pushed mean is
+    bit-identical to it.  (Padding masked entries with zeros instead would
+    change the blocking, and with it the last bits.)
+
+    Returns, per monitor, the pushed ``[coverage, width, abs_error,
+    sq_error, winkler]``, or ``None`` when nothing was valid (nothing is
+    pushed; the step still counts).  With ``locks``, monitor ``i`` is
+    updated under ``locks[i]``, one lock at a time.
+    """
+    target = np.asarray(target, dtype=np.float64)
+    mean = np.asarray(mean, dtype=np.float64)
+    lower = np.asarray(lower, dtype=np.float64)
+    upper = np.asarray(upper, dtype=np.float64)
+    valid = np.isfinite(target)
+    if mask is not None:
+        valid &= np.asarray(mask, dtype=bool)
+    bounds = np.concatenate(([0], np.cumsum(rows))).astype(np.intp)
+    per_row = np.concatenate(([0], np.cumsum(valid.sum(axis=1))))
+    starts = per_row[bounds[:-1]]
+    counts = per_row[bounds[1:]] - starts
+    t, m = target[valid], mean[valid]
+    lo, up = lower[valid], upper[valid]
+    inside = np.concatenate(([0], np.cumsum((t >= lo) & (t <= up))))
+    width = up - lo
+    below = (lo - t) * (t < lo)
+    above = (t - up) * (t > up)
+    penalty = np.repeat([2.0 / monitor.significance for monitor in monitors], counts)
+    error = t - m
+    terms = (width, np.abs(error), error ** 2, width + penalty * (below + above))
+    # A set, np.add.outer over a range and 1-D indices into row views: the
+    # NumPy calls that keep the interpreter lock (see repro.streaming.shard).
+    stats = np.full((5, len(monitors)), np.nan)
+    for n in sorted(set(counts[counts > 0].tolist())):
+        group = np.flatnonzero(counts == n)
+        first = starts[group]
+        stats[0][group] = (inside[first + n] - inside[first]) / n
+        index = np.add.outer(first, range(n))
+        for column, term in enumerate(terms, start=1):
+            stats[column][group] = term[index].sum(axis=1) / n
+    results: List[Optional[List[float]]] = []
+    for i, (monitor, row) in enumerate(zip(monitors, stats.T.tolist())):
+        with locks[i] if locks is not None else nullcontext():
+            monitor.steps += 1
+            if not counts[i]:
+                results.append(None)
+                continue
+            monitor._covered.push(row[0])
+            monitor._width.push(row[1])
+            monitor._abs_error.push(row[2])
+            monitor._sq_error.push(row[3])
+            monitor._winkler.push(row[4])
+        results.append(row)
+    return results
+
+
 class StreamingMonitor:
     """Online coverage / width / error tracking over a rolling step window.
 
@@ -147,30 +224,18 @@ class StreamingMonitor:
         fraction of valid entries covered, or ``None`` when nothing was valid.
         """
         target = np.asarray(target, dtype=np.float64)
-        mean = np.asarray(mean, dtype=np.float64)
-        lower = np.asarray(lower, dtype=np.float64)
-        upper = np.asarray(upper, dtype=np.float64)
-        if mask is None:
-            mask = np.isfinite(target)
-        else:
-            mask = np.asarray(mask, dtype=bool) & np.isfinite(target)
-        self.steps += 1
-        if not mask.any():
-            return None
-        t, m = target[mask], mean[mask]
-        lo, up = lower[mask], upper[mask]
-        covered = float(np.mean((t >= lo) & (t <= up)))
-        width = up - lo
-        below = (lo - t) * (t < lo)
-        above = (t - up) * (t > up)
-        winkler = float(np.mean(width + (2.0 / self.significance) * (below + above)))
-        error = t - m
-        self._covered.push(covered)
-        self._width.push(float(np.mean(width)))
-        self._abs_error.push(float(np.mean(np.abs(error))))
-        self._sq_error.push(float(np.mean(error ** 2)))
-        self._winkler.push(winkler)
-        return covered
+        if mask is not None:
+            mask = np.broadcast_to(np.asarray(mask, dtype=bool), target.shape).reshape(1, -1)
+        stats = update_monitors(
+            [self],
+            target.reshape(1, -1),
+            np.asarray(mean, dtype=np.float64).reshape(1, -1),
+            np.asarray(lower, dtype=np.float64).reshape(1, -1),
+            np.asarray(upper, dtype=np.float64).reshape(1, -1),
+            [1],
+            mask,
+        )[0]
+        return None if stats is None else stats[0]
 
     # ------------------------------------------------------------------ #
     @property

@@ -24,6 +24,32 @@ on the same :mod:`repro.streaming.promotion` machinery (the solo runner as a
 one-stream region), so a one-stream fleet and the solo runner produce
 bit-identical forecasts, refits and trial verdicts.
 
+The observation and forecast sides have **one implementation, over a batch
+of cores**: :func:`resolve_many` scores every pending forecast a tick's
+observations complete, and :func:`record_many` calibrates and records a
+tick's forecasts, each as a few array operations over ``(streams × horizon
+× sensors)`` instead of a Python loop per stream.  The fleet calls them once
+per tick; :meth:`StreamCore.resolve`, :meth:`~StreamCore.record` and
+:meth:`~StreamCore.calibrate` are their one-core calls, which is what the
+solo runner uses.  Results are bit-identical to a per-stream loop: every
+reduction that feeds state runs over the same compacted elements in the same
+order (see :func:`~repro.streaming.monitor.update_monitors`), and the
+sequential sorted-mirror inserts stay a scalar loop.  Cores may differ in
+sensor count, interval mode, ACI configuration and monitor window; the batch
+code groups them and never assumes one shape.  A tick's recorded forecasts
+are stored as one block per field, and each core's pending entries are rows
+of those blocks, so resolving gathers the due rows by indexing.
+
+The batch code (here, in :mod:`~repro.streaming.aci` and in
+:mod:`~repro.streaming.monitor`) keeps to NumPy operations that hold the
+interpreter lock on small arrays: one-dimensional indices into flat arrays
+or row views, boolean masks, ufuncs and reductions.  ``np.unique``,
+``np.sort``, ``np.arange``, ``np.take`` and fancy indexing with several
+index arrays or whole rows release the lock even for a handful of values,
+and each release makes the calling thread queue for it again behind any
+busy thread (a server's workers, a client): that once made a solo stream
+beside a busy server 30x slower.
+
 The **full** online state round-trips bit-identically through
 :meth:`get_state` / :meth:`set_state` (the shared array-protocol shape used
 across the repo), which is what fleet checkpoints shard per stream: the
@@ -43,20 +69,28 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.inference import PredictionResult
 from repro.obs.profiler import phase as obs_phase
-from repro.streaming.aci import ACIConfig, AdaptiveConformalCalibrator
+from repro.streaming.aci import (
+    ACIConfig,
+    AdaptiveConformalCalibrator,
+    calibrated_bounds,
+    fold_bounds,
+    native_bounds,
+    nonconformity,
+    update_many,
+)
 from repro.streaming.drift import (
     CoverageBreachDetector,
     DriftEvent,
     ErrorCusumDetector,
     EventLog,
 )
-from repro.streaming.monitor import StreamingMonitor
+from repro.streaming.monitor import StreamingMonitor, update_monitors
 
 #: On-disk format revision of :meth:`StreamCore.get_state`.  Version 2 added
 #: the drift-detector state and the history / pending / recent ledgers;
@@ -69,6 +103,45 @@ _PENDING_FIELDS = ("mean", "scale", "lower", "upper")
 _PENDING_NATIVE_FIELDS = ("native_lower", "native_upper")
 
 
+class Forecasts(NamedTuple):
+    """One record call's forecasts: ``(rows, horizon, nodes)`` per field.
+
+    ``mean`` and ``scale`` are the raw forecast and its local nonconformity
+    scale, ``lower`` / ``upper`` the emitted bounds and ``native_lower`` /
+    ``native_upper`` the native reference bounds (``None`` without them).
+    """
+
+    mean: np.ndarray
+    scale: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    native_lower: Optional[np.ndarray]
+    native_upper: Optional[np.ndarray]
+
+    @classmethod
+    def single(cls, fields: Dict[str, Optional[np.ndarray]]) -> "Forecasts":
+        """A one-row block from ``(horizon, nodes)`` arrays keyed by field."""
+        return cls(
+            *(
+                None if fields.get(name) is None else np.asarray(fields[name])[None]
+                for name in cls._fields
+            )
+        )
+
+
+class Pending(NamedTuple):
+    """One pending-ledger entry: row ``row`` of ``forecasts``, made at ``step``."""
+
+    step: int
+    forecasts: Forecasts
+    row: int
+
+    def field(self, name: str) -> Optional[np.ndarray]:
+        """This entry's ``(horizon, nodes)`` row of one :class:`Forecasts` field."""
+        block = getattr(self.forecasts, name)
+        return None if block is None else block[self.row]
+
+
 @dataclass
 class ResolvedStep:
     """Everything one ingested observation resolved on a stream core."""
@@ -79,7 +152,8 @@ class ResolvedStep:
     covered: Optional[float]                 # step coverage over resolved rows
     abs_error: Optional[float]               # step MAE over resolved rows
     events: List[DriftEvent] = field(default_factory=list)
-    # Aligned stacks of the resolved forecasts (None when nothing resolved):
+    # Aligned stacks of the resolved forecasts (None when nothing resolved);
+    # rows of the batch :func:`resolve_many` gathered, so read-only:
     target: Optional[np.ndarray] = None      # (rows, nodes) NaN-masked targets
     mean: Optional[np.ndarray] = None
     lower: Optional[np.ndarray] = None
@@ -185,54 +259,9 @@ class StreamCore:
         plus realized miscoverage) and, stacked, the rolling monitor.  The
         aligned stacks come back on the :class:`ResolvedStep` so callers can
         feed side-by-side evaluations (candidate trials) the exact same rows.
+        A one-core :func:`resolve_many`.
         """
-        targets, means, lowers, uppers, steps = [], [], [], [], []
-        masked = np.where(valid, obs, np.nan)
-        with obs_phase("aci_update"), self._lock:
-            for entry in self._pending:
-                h = s - entry["step"] - 1
-                if not 0 <= h < self.horizon:
-                    continue
-                mu, scale = entry["mean"][h], entry["scale"][h]
-                lo, up = entry["lower"][h], entry["upper"][h]
-                targets.append(masked)
-                means.append(mu)
-                lowers.append(lo)
-                uppers.append(up)
-                steps.append(entry["step"])
-                if valid.any():
-                    nat_lo, nat_up = entry["native_lower"], entry["native_upper"]
-                    scores = self.calibrator.score(
-                        obs[valid],
-                        mu[valid],
-                        scale[valid],
-                        lower=nat_lo[h][valid] if nat_lo is not None else None,
-                        upper=nat_up[h][valid] if nat_up is not None else None,
-                    )
-                    miss = float(((obs[valid] < lo[valid]) | (obs[valid] > up[valid])).mean())
-                else:
-                    scores, miss = np.empty(0), None
-                self.calibrator.update(h, scores, miscoverage=miss)
-        resolved = ResolvedStep(
-            observed=obs, filled=obs, valid=valid, covered=None, abs_error=None
-        )
-        if not targets:
-            return resolved
-        target = np.stack(targets)
-        mean = np.stack(means)
-        resolved.target = target
-        resolved.mean = mean
-        resolved.lower = np.stack(lowers)
-        resolved.upper = np.stack(uppers)
-        resolved.steps = np.asarray(steps)
-        with obs_phase("monitor_update"):
-            resolved.covered = self.monitor.update(
-                target, mean, resolved.lower, resolved.upper
-            )
-        finite = np.isfinite(target)
-        if finite.any():
-            resolved.abs_error = float(np.mean(np.abs(target[finite] - mean[finite])))
-        return resolved
+        return resolve_many([self], [s], [obs], [valid])[0]
 
     def detect(
         self, s: int, covered: Optional[float], abs_error: Optional[float]
@@ -289,16 +318,16 @@ class StreamCore:
         """The current ``(1, history, nodes)`` model input, or ``None`` cold."""
         if not self.warmed_up:
             return None
-        return np.stack(self._history, axis=0)[None]
+        return np.array(self._history)[None]
 
     def calibrate(
         self, raw: PredictionResult
     ) -> Tuple[PredictionResult, np.ndarray, np.ndarray]:
-        """Width-adapt a raw result without recording it (candidate scoring)."""
-        with self._lock:
-            lower_b, upper_b = self.calibrator.intervals(raw)
-            calibrated = self.calibrator.fold(raw, lower_b, upper_b)
-        return calibrated, lower_b, upper_b
+        """Width-adapt a raw result without recording it (candidate scoring).
+
+        The calibration half of a one-core :func:`record_many`.
+        """
+        return _calibrate([self], [raw], record=False)[0]
 
     def record(
         self, raw: PredictionResult
@@ -309,32 +338,9 @@ class StreamCore:
         ``(horizon, nodes)``.  The ledger entry keeps whatever the resolver
         will need later: the raw mean, the local scale, the emitted bounds
         and — for native-bound methods — the method's own asymmetric bounds.
+        A one-core :func:`record_many`.
         """
-        with obs_phase("unscale"), self._lock:
-            lower_b, upper_b = self.calibrator.intervals(raw)
-            calibrated = self.calibrator.fold(raw, lower_b, upper_b)
-            scale = self.calibrator._scale(raw)
-            if self.calibrator.uses_native():
-                # Effective reference bounds (the method's own, or Gaussian
-                # ones synthesized for a bound-less model on a native-latched
-                # stream) — what the CQR scores resolve against later.
-                native_lower, native_upper = self.calibrator.native_reference(raw)
-                native_lower, native_upper = native_lower[0], native_upper[0]
-            else:
-                native_lower = raw.lower[0] if raw.lower is not None else None
-                native_upper = raw.upper[0] if raw.upper is not None else None
-            self._pending.append(
-                {
-                    "step": self._step,
-                    "mean": raw.mean[0],
-                    "scale": scale[0],
-                    "lower": lower_b[0],
-                    "upper": upper_b[0],
-                    "native_lower": native_lower,
-                    "native_upper": native_upper,
-                }
-            )
-        return calibrated, lower_b[0], upper_b[0]
+        return record_many([self], [raw])[0]
 
     # ------------------------------------------------------------------ #
     # Recalibration support
@@ -380,21 +386,13 @@ class StreamCore:
                     arrays[f"detector.{index}.{key}"] = value
             pending_meta: List[Dict[str, Any]] = []
             for index, entry in enumerate(self._pending):
-                pending_meta.append(
-                    {
-                        "step": int(entry["step"]),
-                        "native": entry["native_lower"] is not None,
-                    }
-                )
-                for field_name in _PENDING_FIELDS:
+                native = entry.forecasts.native_lower is not None
+                pending_meta.append({"step": int(entry.step), "native": native})
+                names = _PENDING_FIELDS + (_PENDING_NATIVE_FIELDS if native else ())
+                for field_name in names:
                     arrays[f"pending.{index}.{field_name}"] = np.asarray(
-                        entry[field_name], dtype=np.float64
+                        entry.field(field_name), dtype=np.float64
                     )
-                if entry["native_lower"] is not None:
-                    for field_name in _PENDING_NATIVE_FIELDS:
-                        arrays[f"pending.{index}.{field_name}"] = np.asarray(
-                            entry[field_name], dtype=np.float64
-                        )
             arrays["core.history"] = (
                 np.stack(self._history, axis=0)
                 if self._history
@@ -509,20 +507,18 @@ class StreamCore:
         )
         self._pending = deque(maxlen=self.horizon)
         for index, entry_meta in enumerate(pending_meta):
-            entry: Dict[str, Any] = {"step": int(entry_meta["step"])}
-            for field_name in _PENDING_FIELDS:
-                entry[field_name] = np.asarray(
-                    arrays[f"pending.{index}.{field_name}"], dtype=np.float64
-                ).copy()
-            for field_name in _PENDING_NATIVE_FIELDS:
-                entry[field_name] = (
-                    np.asarray(
-                        arrays[f"pending.{index}.{field_name}"], dtype=np.float64
+            names = _PENDING_FIELDS + (
+                _PENDING_NATIVE_FIELDS if entry_meta["native"] else ()
+            )
+            forecasts = Forecasts.single(
+                {
+                    name: np.asarray(
+                        arrays[f"pending.{index}.{name}"], dtype=np.float64
                     ).copy()
-                    if entry_meta["native"]
-                    else None
-                )
-            self._pending.append(entry)
+                    for name in names
+                }
+            )
+            self._pending.append(Pending(int(entry_meta["step"]), forecasts, 0))
 
     def __repr__(self) -> str:
         return (
@@ -530,3 +526,214 @@ class StreamCore:
             f"step={self._step}, mode={self.calibrator.config.mode!r}, "
             f"events={len(self.event_log)})"
         )
+
+
+# ---------------------------------------------------------------------- #
+# The batch implementation behind StreamCore.resolve / record / calibrate
+# ---------------------------------------------------------------------- #
+def resolve_many(
+    cores: Sequence[StreamCore],
+    steps: Sequence[int],
+    observations: Sequence[np.ndarray],
+    valids: Sequence[np.ndarray],
+) -> List[ResolvedStep]:
+    """Resolve one observation row on each of many cores in one pass.
+
+    ``observations[i]`` / ``valids[i]`` are core ``i``'s normalized row and
+    validity mask (:meth:`StreamCore.normalize`) for step ``steps[i]``.
+    Every pending forecast the row completes is scored: calibration scores,
+    miscoverage and the ``alpha_t`` updates run as array operations over all
+    due rows of all cores (:func:`~repro.streaming.aci.update_many`), then
+    every core's rolling monitor takes its rows
+    (:func:`~repro.streaming.monitor.update_monitors`).  Cores are grouped
+    by sensor count; each core's ``_lock`` is held around its own mutations,
+    never two at once.
+    """
+    resolved = [
+        ResolvedStep(observed=obs, filled=obs, valid=valid, covered=None, abs_error=None)
+        for obs, valid in zip(observations, valids)
+    ]
+    by_width: Dict[int, List[int]] = {}
+    for i, obs in enumerate(observations):
+        by_width.setdefault(obs.shape[-1], []).append(i)
+    for members in by_width.values():
+        _resolve_group(
+            [cores[i] for i in members],
+            [steps[i] for i in members],
+            np.stack([observations[i] for i in members]),
+            np.stack([valids[i] for i in members]),
+            [resolved[i] for i in members],
+        )
+    return resolved
+
+
+def _resolve_group(
+    cores: List[StreamCore],
+    steps: List[int],
+    obs: np.ndarray,
+    valid: np.ndarray,
+    resolved: List[ResolvedStep],
+) -> None:
+    """:func:`resolve_many` over cores whose rows share one sensor count."""
+    with obs_phase("aci_update"):
+        # Due ledger rows, core-major and in ledger order (the order a
+        # per-core loop would visit them).
+        owners: List[int] = []
+        horizons: List[int] = []
+        made: List[int] = []
+        cqr: List[bool] = []
+        blocks: Dict[int, Tuple[Forecasts, List[int], List[int], List[int]]] = {}
+        counts: List[int] = []
+        for owner, (core, s) in enumerate(zip(cores, steps)):
+            before = len(owners)
+            with core._lock:
+                native = core.calibrator.uses_native()
+                for entry in core._pending:
+                    h = s - entry.step - 1
+                    if not 0 <= h < core.horizon:
+                        continue
+                    forecasts = entry.forecasts
+                    slot = blocks.get(id(forecasts))
+                    if slot is None:
+                        slot = blocks[id(forecasts)] = (forecasts, [], [], [])
+                    slot[1].append(len(owners))
+                    slot[2].append(entry.row)
+                    slot[3].append(h)
+                    owners.append(owner)
+                    horizons.append(h)
+                    made.append(entry.step)
+                    cqr.append(native and forecasts.native_lower is not None)
+            counts.append(len(owners) - before)
+        if not owners:
+            return
+        rows, width = len(owners), obs.shape[1]
+        any_cqr = any(cqr)
+        names = Forecasts._fields if any_cqr else _PENDING_FIELDS
+        due = {name: np.full((rows, width), np.nan) for name in names}
+        # Flat 1-D gathers and writes (see the module docstring on the lock).
+        for forecasts, ks, block_rows, hs in blocks.values():
+            horizon = forecasts.mean.shape[1]
+            source = (np.asarray(block_rows) * horizon + np.asarray(hs)) * width
+            source = np.add.outer(source, range(width)).ravel()
+            target_cells = np.add.outer(np.asarray(ks) * width, range(width)).ravel()
+            for name in names:
+                block = getattr(forecasts, name)
+                if block is not None:
+                    due[name].reshape(-1)[target_cells] = block.reshape(-1)[source]
+        row_owner = np.asarray(owners, dtype=np.intp)
+        # Rows are core-major, so repeating each core's row is the gather.
+        observed = np.repeat(obs, counts, axis=0)
+        valid_rows = np.repeat(valid, counts, axis=0)
+        target = np.where(valid_rows, observed, np.nan)
+        y = observed[valid_rows]
+        lower = due["lower"][valid_rows]
+        upper = due["upper"][valid_rows]
+        lengths = valid_rows.sum(axis=1)
+        scores = nonconformity(
+            y,
+            due["mean"][valid_rows],
+            due["scale"][valid_rows],
+            due["native_lower"][valid_rows] if any_cqr else None,
+            due["native_upper"][valid_rows] if any_cqr else None,
+            native=np.repeat(np.asarray(cqr), lengths) if any_cqr else False,
+        )
+        outside = np.concatenate(([0], np.cumsum((y < lower) | (y > upper))))
+        ends = np.cumsum(lengths)
+        miss = np.divide(
+            outside[ends] - outside[ends - lengths],
+            lengths,
+            out=np.full(rows, np.nan),
+            where=lengths > 0,
+        )
+        update_many(
+            [core.calibrator for core in cores],
+            row_owner,
+            horizons,
+            scores,
+            lengths,
+            miss,
+            locks=[core._lock for core in cores],
+        )
+
+    with obs_phase("monitor_update"):
+        scored = [i for i, count in enumerate(counts) if count]
+        stats = update_monitors(
+            [cores[i].monitor for i in scored],
+            target,
+            due["mean"],
+            due["lower"],
+            due["upper"],
+            [counts[i] for i in scored],
+            locks=[cores[i]._lock for i in scored],
+        )
+    made_steps = np.asarray(made)
+    start = 0
+    for i, row_stats in zip(scored, stats):
+        stop = start + counts[i]
+        step = resolved[i]
+        step.target = target[start:stop]
+        step.mean = due["mean"][start:stop]
+        step.lower = due["lower"][start:stop]
+        step.upper = due["upper"][start:stop]
+        step.steps = made_steps[start:stop]
+        if row_stats is not None:
+            step.covered, step.abs_error = row_stats[0], row_stats[2]
+        start = stop
+
+
+def record_many(
+    cores: Sequence[StreamCore], raws: Sequence[PredictionResult]
+) -> List[Tuple[PredictionResult, np.ndarray, np.ndarray]]:
+    """Calibrate each core's step forecast and append it to its ledger.
+
+    Returns ``(calibrated, lower, upper)`` per core with the bounds squeezed
+    to ``(horizon, nodes)``.  Cores are grouped by forecast shape and
+    interval mode; each group's conformal levels, bounds and folded results
+    are computed once over the stacked forecasts, which become the block
+    the group's new ledger entries are rows of.
+    """
+    with obs_phase("calibrate"):
+        return [
+            (calibrated, lower[0], upper[0])
+            for calibrated, lower, upper in _calibrate(cores, raws, record=True)
+        ]
+
+
+def _calibrate(
+    cores: Sequence[StreamCore], raws: Sequence[PredictionResult], record: bool
+) -> List[Tuple[PredictionResult, np.ndarray, np.ndarray]]:
+    """Per core ``(calibrated, lower, upper)``, bounds shaped like the raw mean."""
+    groups: Dict[Tuple[Any, ...], List[int]] = {}
+    for i, (core, raw) in enumerate(zip(cores, raws)):
+        if raw.mean.shape[1] != core.horizon:
+            raise ValueError(
+                f"result has horizon {raw.mean.shape[1]}, calibrator expects {core.horizon}"
+            )
+        with core._lock:
+            native = core.calibrator.uses_native(raw)
+        groups.setdefault((raw.mean.shape, native, raw.has_native_bounds), []).append(i)
+    out: List[Any] = [None] * len(cores)
+    for (shape, native, _), members in groups.items():
+        per = shape[0]
+        stacked = PredictionResult.concatenate([raws[i] for i in members])
+        calibrators = [cores[i].calibrator for i in members]
+        scale = AdaptiveConformalCalibrator._scale(stacked)
+        reference = native_bounds(calibrators, stacked, scale) if native else None
+        lower, upper = calibrated_bounds(calibrators, stacked, scale, reference)
+        calibrated = fold_bounds(stacked, lower, upper, native)
+        if record:
+            forecasts = Forecasts(
+                stacked.mean,
+                scale,
+                lower,
+                upper,
+                *(reference if native else (stacked.lower, stacked.upper)),
+            )
+        for j, i in enumerate(members):
+            rows = slice(j * per, (j + 1) * per)
+            out[i] = (calibrated[rows], lower[rows], upper[rows])
+            if record:
+                core = cores[i]
+                with core._lock:
+                    core._pending.append(Pending(core._step, forecasts, j * per))
+    return out

@@ -1,5 +1,8 @@
 """Fleet ticks: shared batched predicts, single-stream equivalence, ops."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -156,6 +159,38 @@ class TestBatchedTick:
         assert fleet["short"].core.step == 20
         assert fleet["long"].core.step == 35
         assert set(results[-1].results) == {"long"}
+
+    def test_timeout_bounds_the_tick_not_each_future(self, network):
+        """A hung deployment costs one ``timeout`` per tick, not one per stream."""
+        rows = {name: list(feed) for name, feed in _feeds(network, 6).items()}
+        model = PersistenceForecaster(horizon=HORIZON, sigma=20.0)
+        released = threading.Event()
+        released.set()
+
+        def predict(windows):
+            released.wait(timeout=30.0)
+            return model.predict(windows)
+
+        server = InferenceServer(predict, max_batch_size=64, max_wait_ms=2.0)
+        with server:
+            fleet = StreamFleet(server, HISTORY, HORIZON, timeout=0.2)
+            for name in rows:
+                fleet.add_stream(name)
+            for t in range(HISTORY):
+                fleet.tick({name: rows[name][t] for name in rows})
+            released.clear()
+            try:
+                start = time.perf_counter()
+                hung = fleet.tick({name: rows[name][HISTORY] for name in rows})
+                elapsed = time.perf_counter() - start
+            finally:
+                released.set()
+            recovered = fleet.tick({name: rows[name][HISTORY + 1] for name in rows})
+        assert elapsed < 0.5
+        failed = [event for event in hung.events if event.kind == "stream_predict_failed"]
+        assert sorted(event.message.split(":")[0] for event in failed) == sorted(rows)
+        assert all(step.prediction is None for step in hung.results.values())
+        assert all(step.prediction is not None for step in recovered.results.values())
 
     def test_partial_tick_skips_unobserved_streams(self, network):
         feeds = _feeds(network, 2)

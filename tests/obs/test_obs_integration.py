@@ -94,7 +94,7 @@ def test_enabled_fleet_run_produces_tick_traces_and_phase_timings():
     assert "model.forward" in names
 
     snapshot = profiler().snapshot()
-    for name in ("window_build", "batch_wait", "model_forward", "unscale"):
+    for name in ("window_build", "batch_wait", "model_forward", "calibrate"):
         assert name in snapshot, name
         assert snapshot[name]["count"] > 0
     # The stream cores fed the calibration/monitoring phases too.

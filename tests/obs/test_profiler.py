@@ -52,8 +52,8 @@ class TestAggregation:
     def test_quantiles_come_from_a_bounded_ring(self):
         prof = PhaseProfiler(sample_window=4)
         for seconds in (1.0, 1.0, 1.0, 0.001, 0.001, 0.002, 0.004):
-            prof.record("unscale", seconds)
-        entry = prof.snapshot()["unscale"]
+            prof.record("calibrate", seconds)
+        entry = prof.snapshot()["calibrate"]
         # The three 1.0 s outliers fell off the 4-deep ring.
         assert entry["p99_ms"] <= 4.0
         assert entry["count"] == 7  # ...but exact totals never forget
