@@ -13,10 +13,10 @@ that, end to end, with the same realistic MC-dropout AGCRN workload as
 * score each mode by its *fastest* round (the classic low-noise
   estimator) and gate ``enabled / disabled - 1`` under 3 %.
 
-The enabled run's phase profile is the second deliverable: the per-phase
-cost breakdown of a 256-stream tick
-(``benchmarks/results/obs_tick_profile.txt``), naming the top-3 phases —
-the direct input to the hot-path optimisation PR.
+The enabled run's phase profile is saved too
+(``benchmarks/results/obs_tick_profile.txt``).  Its phases overlap —
+``queue_wait`` sums the waits of requests queued together — so it is not a
+wall-time breakdown of a tick; ``perfbench/run.py --trace 1`` gives that.
 """
 
 import time

@@ -4,13 +4,13 @@ The stack's correctness rests on a handful of invariants that ordinary
 linters know nothing about: lock-acquisition order across the serving /
 streaming / fleet threads, checkpoint completeness for every
 ``get_state``/``set_state`` class, seeded determinism on numeric paths,
-and JSON/Prometheus safety at the gateway boundary.  This package makes
-those rules machine-checked:
+JSON/Prometheus safety at the gateway boundary, and no public code that
+nothing calls.  This package makes those rules machine-checked:
 
 * :mod:`repro.analysis.framework` — AST rule registry, findings, noqa
   pragmas (``# repro: noqa[rule-id]``).
 * :mod:`repro.analysis.rules` — the project rule catalog (``lock-order``,
-  ``checkpoint``, ``determinism``, ``boundary``).
+  ``checkpoint``, ``determinism``, ``boundary``, ``unused``).
 * :mod:`repro.analysis.baseline` — committed suppression file
   (``analysis_baseline.json``) with per-entry justifications.
 * :mod:`repro.analysis.cli` — ``python -m repro.analysis src/`` /

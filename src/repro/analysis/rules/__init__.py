@@ -11,8 +11,9 @@ Families and their stable finding ids:
   (``determinism/unseeded-random``, ``determinism/wall-clock``)
 * ``boundary`` — :mod:`repro.analysis.rules.boundary`
   (``boundary/json-nan``, ``boundary/metric-name``)
+* ``unused`` — :mod:`repro.analysis.rules.unused` (``unused/symbol``)
 """
 
-from repro.analysis.rules import boundary, checkpoint, determinism, lock_order
+from repro.analysis.rules import boundary, checkpoint, determinism, lock_order, unused
 
-__all__ = ["boundary", "checkpoint", "determinism", "lock_order"]
+__all__ = ["boundary", "checkpoint", "determinism", "lock_order", "unused"]

@@ -1,0 +1,150 @@
+"""``unused`` — public code that nothing in the program calls.
+
+* ``unused/symbol`` — a public (no leading underscore) module-level
+  function or class under ``src/``, or a public method of such a class,
+  whose name appears as a code identifier nowhere in the program's caller
+  trees except at its own definition.  The caller trees are ``src/``,
+  ``examples/``, ``perfbench/``, ``benchmarks/`` and ``tools/`` under the
+  analysis root; tests are not callers, so a helper only tests reach is
+  reported too.
+
+A code identifier is a name, an attribute or an imported name (``foo``
+in ``foo(...)``, ``x.foo`` or ``from m import foo``), never a string or a
+comment, so a package re-export keeps a symbol alive.  Classes decorated
+with a ``@register``-style decorator count as used, since their registry
+reaches them by key.  Matching is by bare name, not by type, so any ``x.update``
+keeps every ``update`` method alive: the rule under-reports rather than
+guess types.  A symbol kept on purpose (a ``threading.Lock`` protocol
+method, an instrument for test suites, a documented user entry point)
+carries ``# repro: noqa[unused/symbol]`` and a reason on its ``def`` line.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+from typing import Dict, Iterable, List, Optional, Tuple, Union
+
+from repro.analysis.framework import (
+    Finding,
+    ModuleContext,
+    Rule,
+    iter_python_files,
+    register,
+)
+
+#: Directories under the analysis root whose code counts as a caller.
+CALLER_TREES = ("src", "examples", "perfbench", "benchmarks", "tools")
+
+_Definition = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef]
+#: identifier -> every ``(relpath, line)`` it occurs at.
+_Index = Dict[str, List[Tuple[str, int]]]
+
+
+def _identifiers(tree: ast.AST) -> Iterable[Tuple[str, int]]:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.end_lineno or node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+def _build_index(root: Path) -> _Index:
+    index: _Index = defaultdict(list)
+    trees = [root / name for name in CALLER_TREES if (root / name).is_dir()]
+    for path in iter_python_files(trees, root):
+        try:
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+        except (SyntaxError, UnicodeDecodeError, OSError):
+            continue
+        relpath = path.resolve().relative_to(root.resolve()).as_posix()
+        for name, line in _identifiers(tree):
+            index[name].append((relpath, line))
+    return index
+
+
+def _root_of(module: ModuleContext) -> Optional[Path]:
+    """The analysis root: the module's path minus its root-relative ``relpath``."""
+    parts = Path(module.relpath).parts
+    resolved = module.path.resolve().parts
+    if len(resolved) <= len(parts) or resolved[-len(parts):] != parts:
+        return None
+    return Path(*resolved[: -len(parts)])
+
+
+def _registered(node: _Definition) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+        if name.startswith("register"):
+            return True
+    return False
+
+
+@register
+class UnusedRule(Rule):
+    name = "unused"
+    description = (
+        "public functions, classes and methods under src/ that no code in "
+        "src/, examples/, perfbench/, benchmarks/ or tools/ references"
+    )
+
+    def __init__(self) -> None:
+        self._root: Optional[Path] = None
+        self._index: _Index = {}
+
+    def _index_for(self, root: Path) -> _Index:
+        if self._root != root:
+            self._root, self._index = root, _build_index(root)
+        return self._index
+
+    def check(self, module: ModuleContext) -> Iterable[Finding]:
+        root = _root_of(module) if module.relpath.startswith("src/") else None
+        if root is None:
+            return []
+        index = self._index_for(root)
+        findings: List[Finding] = []
+        seen = set()
+
+        def used(node: _Definition) -> bool:
+            if _registered(node):
+                return True
+            first = min([d.lineno for d in node.decorator_list] + [node.lineno])
+            return any(
+                path != module.relpath or not first <= line <= node.end_lineno
+                for path, line in index.get(node.name, ())
+            )
+
+        def visit(body: List[ast.stmt], owner: str) -> None:
+            for node in body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    continue
+                if node.name.startswith("_"):
+                    continue
+                symbol = f"{owner}.{node.name}" if owner else node.name
+                if symbol in seen:  # a property's setter shares the getter's name
+                    continue
+                seen.add(symbol)
+                if not used(node):
+                    kind = "class" if isinstance(node, ast.ClassDef) else "function"
+                    findings.append(
+                        Finding(
+                            path=module.relpath,
+                            line=node.lineno,
+                            rule="unused/symbol",
+                            symbol=symbol,
+                            message=(
+                                f"public {kind} {symbol} is referenced nowhere in "
+                                f"{', '.join(CALLER_TREES)} outside its definition"
+                            ),
+                        )
+                    )
+                elif isinstance(node, ast.ClassDef):
+                    visit(node.body, symbol)
+
+        visit(module.tree.body, "")
+        return findings

@@ -46,7 +46,7 @@ class AWAConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
     @property
-    def num_averaged_models(self) -> int:
+    def num_averaged_models(self) -> int:  # repro: noqa[unused/symbol] Algorithm 1's model count
         """One model is averaged per odd epoch (Algorithm 1, lines 8-10)."""
         return self.epochs // 2
 

@@ -110,8 +110,3 @@ class TemperatureCalibrator:
         """Apply the fitted temperature to an aleatoric variance (Eq. 19b)."""
         variance = np.asarray(variance, dtype=np.float64)
         return variance / (self.temperature ** 2)
-
-    def calibrate_std(self, std: np.ndarray) -> np.ndarray:
-        """Apply the fitted temperature to a standard deviation."""
-        std = np.asarray(std, dtype=np.float64)
-        return std / self.temperature

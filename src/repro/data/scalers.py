@@ -15,8 +15,8 @@ import numpy as np
 class StandardScaler:
     """Zero-mean / unit-variance scaling with variance-aware inversion.
 
-    ``inverse_transform_std`` maps a predicted standard deviation back to the
-    data scale (multiplication by the fitted std), which is what the
+    ``inverse_transform_var`` maps a predicted variance back to the data
+    scale (multiplication by the fitted variance), which is what the
     uncertainty-quantification pipeline needs for interval metrics.
     """
 
@@ -39,17 +39,9 @@ class StandardScaler:
         self._check_fitted()
         return (np.asarray(values, dtype=np.float64) - self.mean_) / self.std_
 
-    def fit_transform(self, values: np.ndarray) -> np.ndarray:
-        return self.fit(values).transform(values)
-
     def inverse_transform(self, values: np.ndarray) -> np.ndarray:
         self._check_fitted()
         return np.asarray(values, dtype=np.float64) * self.std_ + self.mean_
-
-    def inverse_transform_std(self, std: np.ndarray) -> np.ndarray:
-        """Map standard deviations from scaled space back to data space."""
-        self._check_fitted()
-        return np.asarray(std, dtype=np.float64) * self.std_
 
     def inverse_transform_var(self, var: np.ndarray) -> np.ndarray:
         """Map variances from scaled space back to data space."""
@@ -79,9 +71,6 @@ class MinMaxScaler:
     def transform(self, values: np.ndarray) -> np.ndarray:
         self._check_fitted()
         return (np.asarray(values, dtype=np.float64) - self.min_) / (self.max_ - self.min_)
-
-    def fit_transform(self, values: np.ndarray) -> np.ndarray:
-        return self.fit(values).transform(values)
 
     def inverse_transform(self, values: np.ndarray) -> np.ndarray:
         self._check_fitted()

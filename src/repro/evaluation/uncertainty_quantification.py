@@ -80,7 +80,9 @@ def run_uncertainty_quantification(
     return rows
 
 
-def best_method_per_dataset(rows: Sequence[Dict], metric: str = "MAE", minimize: bool = True) -> Dict[str, str]:
+def best_method_per_dataset(  # repro: noqa[unused/symbol] results-table helper for users
+    rows: Sequence[Dict], metric: str = "MAE", minimize: bool = True
+) -> Dict[str, str]:
     """Identify the winning method per dataset for a given metric (ignoring NaNs)."""
     winners: Dict[str, str] = {}
     for dataset in {row["Dataset"] for row in rows}:

@@ -43,7 +43,7 @@ from repro.fleet.spatial import SpatialDriftAggregator
 from repro.fleet.streams import FleetStream
 from repro.serving.router import KeyRouter, Router
 from repro.streaming import shard
-from repro.streaming.drift import DRIFT_KINDS, DriftEvent, EventLog
+from repro.streaming.drift import DriftEvent, EventLog
 from repro.streaming.promotion import RefitCoordinator, RefitFn, RefitPolicy, Trial
 from repro.streaming.runner import StepResult
 from repro.utils.jsonsafe import json_ready
@@ -115,13 +115,10 @@ class StreamFleet:
         deadline per tick, shared by every future (incumbent and candidate)
         the tick waits on.  A future still pending at the deadline counts
         as failed.
-    drift_kinds:
-        Per-stream event kinds that count as drift for refit-quorum
-        counting; extend it when ``detector_factory`` builds custom
-        detectors with their own event kinds (defaults to
-        :data:`repro.streaming.drift.DRIFT_KINDS`).  The spatial
-        aggregator filters by its own ``watch_kinds`` and sees every
-        per-stream event.
+
+    Every detector event counts as drift toward its region's refit quorum,
+    whatever its kind, as in the solo runner; the spatial aggregator
+    filters by its own ``watch_kinds`` and sees every per-stream event.
     """
 
     def __init__(
@@ -138,11 +135,9 @@ class StreamFleet:
         spatial: Optional[SpatialDriftAggregator] = None,
         version_prefix: str = "fleet",
         timeout: Optional[float] = 60.0,
-        drift_kinds: Sequence[str] = DRIFT_KINDS,
     ) -> None:
         if history < 1 or horizon < 1:
             raise ValueError("history and horizon must be >= 1")
-        self.drift_kinds = tuple(drift_kinds)
         self.server = server
         self.history = int(history)
         self.horizon = int(horizon)
@@ -365,9 +360,7 @@ class StreamFleet:
             events = core.detect(s, resolved.covered, resolved.abs_error)
             resolved.events = events
             if events:
-                if self.coordinator is not None and any(
-                    event.kind in self.drift_kinds for event in events
-                ):
+                if self.coordinator is not None:
                     self.coordinator.note_drift(stream.region, name, tick_index)
                 if self.spatial is not None:
                     # The aggregator applies its own watch_kinds filter, so a

@@ -10,9 +10,10 @@ every Prometheus-compatible collector understands:
 * **serving counters** — :attr:`InferenceServer.stats` flattened into
   ``repro_server_*`` / ``repro_cache_*`` series plus per-deployment
   ``repro_deployment_*{deployment,version}`` series;
-* **fleet state** — per-stream rolling PICP / MAE / RMSE / width gauges and
-  per-kind drift-event counters from :meth:`StreamFleet.snapshot`, plus
-  fleet-level tick / event counters.
+* **fleet state** — per-stream rolling PICP (in percent) / MAE / RMSE /
+  width gauges and per-kind event counters read from the live
+  :class:`~repro.fleet.StreamFleet` (each event log counts its kinds as
+  they are appended), plus fleet-level tick / event counters.
 
 :func:`parse_prometheus_text` is the matching reader — the smoke tests and
 the HTTP benchmark scrape ``/metrics`` and assert through it, so the emitted
@@ -48,7 +49,6 @@ _SERVER_COUNTER_KEYS = frozenset(
         "batches_dispatched",
         "model_windows",
         "shadow_windows",
-        "models_swapped",
         "promotions",
         "rollbacks",
         "route_fallbacks",
@@ -329,25 +329,23 @@ def _render_server(exp: _Exposition, stats: Dict[str, Any]) -> None:
             exp.add(metric, kind, f"Per-deployment {key}.", value, labels)
 
 
-def _render_fleet(
-    exp: _Exposition, snapshot: Dict[str, Any], max_streams: int = MAX_METRIC_STREAMS
-) -> int:
+def _render_fleet(exp: _Exposition, fleet: Any, max_streams: int = MAX_METRIC_STREAMS) -> int:
     """Render fleet series; returns the number of capped per-stream series.
 
-    At most ``max_streams`` streams (sorted by name, so the exported set is
-    stable scrape-to-scrape) get per-stream series; fleet-level aggregates
-    always render in full.
+    Reads the live fleet: event counters are the logs' per-kind counts, so
+    a scrape never walks an event history.  At most ``max_streams`` streams
+    (sorted by name, so the exported set is stable scrape-to-scrape) get
+    per-stream series; fleet-level aggregates always render in full.
     """
     dropped_series = 0
-    exp.add("repro_fleet_tick", "counter", "Fleet ticks completed.", snapshot["tick"])
+    exp.add("repro_fleet_tick", "counter", "Fleet ticks completed.", fleet._tick)
     exp.add(
         "repro_fleet_streams",
         "gauge",
         "Streams registered in the fleet.",
-        snapshot["num_streams"],
+        len(fleet.streams),
     )
-    fleet_kinds = Counter(event["kind"] for event in snapshot.get("events", ()))
-    for kind, count in sorted(fleet_kinds.items()):
+    for kind, count in sorted(fleet.event_log.counts.items()):
         exp.add(
             "repro_fleet_events_total",
             "counter",
@@ -355,41 +353,38 @@ def _render_fleet(
             count,
             {"kind": kind},
         )
-    for index, (name, stream) in enumerate(sorted(snapshot.get("streams", {}).items())):
+    for index, (name, stream) in enumerate(sorted(fleet.streams.items())):
+        core = stream.core
         if index >= max_streams:
-            # Count exactly the series this stream would have emitted.
-            stream_metrics = stream.get("metrics", {})
-            dropped_series += 2  # step + warmed_up
-            dropped_series += sum(1 for key in _STREAM_METRIC_KEYS if key in stream_metrics)
-            dropped_series += len({event["kind"] for event in stream.get("events", ())})
+            # Count exactly the series this stream would have emitted: step,
+            # warmed_up, every monitor gauge and one counter per event kind.
+            dropped_series += 2 + len(_STREAM_METRIC_KEYS) + len(core.event_log.counts)
             continue
         labels = {"stream": name}
         exp.add(
             "repro_stream_step",
             "counter",
             "Observations ingested by the stream.",
-            stream["step"],
+            core.step,
             labels,
         )
         exp.add(
             "repro_stream_warmed_up",
             "gauge",
             "1 once the stream's history window is full.",
-            1 if stream["warmed_up"] else 0,
+            1 if core.warmed_up else 0,
             labels,
         )
-        stream_metrics = stream.get("metrics", {})
+        stream_metrics = core.monitor.snapshot()
         for key in _STREAM_METRIC_KEYS:
-            if key in stream_metrics:
-                exp.add(
-                    f"repro_stream_{key}",
-                    "gauge",
-                    f"Rolling {key} of the stream's monitor window.",
-                    stream_metrics[key],
-                    labels,
-                )
-        kinds = Counter(event["kind"] for event in stream.get("events", ()))
-        for kind, count in sorted(kinds.items()):
+            exp.add(
+                f"repro_stream_{key}",
+                "gauge",
+                f"Rolling {key} of the stream's monitor window.",
+                stream_metrics[key],
+                labels,
+            )
+        for kind, count in sorted(core.event_log.counts.items()):
             exp.add(
                 "repro_stream_events_total",
                 "counter",
@@ -397,8 +392,8 @@ def _render_fleet(
                 count,
                 {"stream": name, "kind": kind},
             )
-    refits = snapshot.get("refits")
-    if refits is not None:
+    if fleet.coordinator is not None:
+        refits = fleet.coordinator.stats()
         exp.add(
             "repro_fleet_refit_triggers_total",
             "counter",
@@ -411,13 +406,12 @@ def _render_fleet(
             "Coordinated region refits completed.",
             refits["refits_completed"],
         )
-    spatial = snapshot.get("spatial")
-    if spatial is not None:
+    if fleet.spatial is not None:
         exp.add(
             "repro_fleet_spatial_incidents_total",
             "counter",
             "Spatial incidents fired by the corridor-graph aggregator.",
-            spatial["incidents"],
+            fleet.spatial.stats()["incidents"],
         )
     return dropped_series
 
@@ -576,20 +570,17 @@ def render_prometheus(gateway: Any) -> str:
     exp = _Exposition()
     _render_gateway(exp, gateway)
     dropped_series = 0
+    server = gateway.server
     fleet = getattr(gateway, "fleet", None)
     if fleet is not None:
-        snapshot = fleet.snapshot()
         dropped_series = _render_fleet(
             exp,
-            snapshot,
+            fleet,
             max_streams=getattr(gateway, "max_metric_streams", MAX_METRIC_STREAMS),
         )
-        server_stats = snapshot.get("server")
-    else:
-        server_stats = None
-    if server_stats is None:
-        server_stats = gateway.server.stats
-    _render_server(exp, server_stats)
+        if hasattr(fleet.server, "stats"):
+            server = fleet.server
+    _render_server(exp, server.stats)
     _render_obs(exp, dropped_series)
     slo = getattr(gateway, "slo", None)
     if slo is not None:

@@ -89,7 +89,7 @@ class RoadNetwork:
         graph.add_weighted_edges_from(self._edges)
         return graph
 
-    def is_connected(self) -> bool:
+    def is_connected(self) -> bool:  # repro: noqa[unused/symbol] graph query for users
         return nx.is_connected(self.to_networkx())
 
     def neighbors(self, node: int) -> List[int]:
@@ -121,7 +121,9 @@ class RoadNetwork:
     # Constructors
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_adjacency(cls, adjacency: np.ndarray, name: str = "road-network") -> "RoadNetwork":
+    def from_adjacency(  # repro: noqa[unused/symbol] constructor for real sensor graphs
+        cls, adjacency: np.ndarray, name: str = "road-network"
+    ) -> "RoadNetwork":
         """Build a network from a dense (symmetric) adjacency matrix."""
         adjacency = np.asarray(adjacency)
         if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:

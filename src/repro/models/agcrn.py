@@ -195,6 +195,6 @@ class AGCRN(ForecastModel):
             if isinstance(module, nn.Dropout):
                 module.reseed(rng)
 
-    def learned_adjacency(self) -> np.ndarray:
+    def learned_adjacency(self) -> np.ndarray:  # repro: noqa[unused/symbol] view of the adaptive graph
         """The current learned propagation matrix (for inspection/plots)."""
         return self.adaptive_adjacency().numpy()

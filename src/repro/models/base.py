@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Union
+from typing import Union
 
 import numpy as np
 
@@ -65,10 +65,3 @@ class ForecastModel(Module):
         if isinstance(output, dict):
             output = output["mean"]
         return output.numpy()
-
-    @staticmethod
-    def output_to_dict(output: Union[Tensor, Dict[str, Tensor]]) -> Dict[str, Tensor]:
-        """Normalize a model output to the dict form with a ``mean`` entry."""
-        if isinstance(output, dict):
-            return output
-        return {"mean": output}

@@ -25,10 +25,6 @@ def ones(shape: Tuple[int, ...]) -> np.ndarray:
     return np.ones(shape)
 
 
-def constant(shape: Tuple[int, ...], value: float) -> np.ndarray:
-    return np.full(shape, float(value))
-
-
 def uniform(
     shape: Tuple[int, ...], low: float = -0.1, high: float = 0.1, rng: Optional[np.random.Generator] = None
 ) -> np.ndarray:
@@ -65,7 +61,7 @@ def xavier_uniform(
     return _rng(rng).uniform(-bound, bound, size=shape)
 
 
-def xavier_normal(
+def xavier_normal(  # repro: noqa[unused/symbol] offered to model code
     shape: Tuple[int, ...], gain: float = 1.0, rng: Optional[np.random.Generator] = None
 ) -> np.ndarray:
     """Glorot/Xavier normal initialization."""
@@ -74,16 +70,7 @@ def xavier_normal(
     return _rng(rng).normal(0.0, std, size=shape)
 
 
-def kaiming_uniform(
-    shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None
-) -> np.ndarray:
-    """He/Kaiming uniform initialization for ReLU-family activations."""
-    fan_in, _ = _fan_in_fan_out(shape)
-    bound = np.sqrt(6.0 / fan_in)
-    return _rng(rng).uniform(-bound, bound, size=shape)
-
-
-def kaiming_normal(
+def kaiming_normal(  # repro: noqa[unused/symbol] offered to model code
     shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None
 ) -> np.ndarray:
     """He/Kaiming normal initialization for ReLU-family activations."""

@@ -49,11 +49,6 @@ class Module:
             self._modules[name] = value
         object.__setattr__(self, name, value)
 
-    def register_parameter(self, name: str, parameter: Parameter) -> None:
-        """Explicitly register a parameter under ``name``."""
-        self._parameters[name] = parameter
-        object.__setattr__(self, name, parameter)
-
     def add_module(self, name: str, module: "Module") -> None:
         """Explicitly register a sub-module under ``name``."""
         self._modules[name] = module
@@ -88,10 +83,7 @@ class Module:
         for child in self._modules.values():
             yield from child.modules()
 
-    def children(self) -> Iterator["Module"]:
-        yield from self._modules.values()
-
-    def num_parameters(self) -> int:
+    def num_parameters(self) -> int:  # repro: noqa[unused/symbol] model-size query for users
         """Total number of scalar weights in the module tree."""
         return int(sum(p.size for p in self.parameters()))
 
@@ -112,13 +104,6 @@ class Module:
         """Clear the gradient buffers of every parameter."""
         for param in self.parameters():
             param.zero_grad()
-
-    def apply(self, fn) -> "Module":
-        """Apply ``fn`` to every module in the tree (post-order)."""
-        for child in self._modules.values():
-            child.apply(fn)
-        fn(self)
-        return self
 
     # ------------------------------------------------------------------ #
     # Serialization
@@ -145,10 +130,6 @@ class Module:
                     f"shape mismatch for '{name}': expected {param.data.shape}, got {value.shape}"
                 )
             param.data[...] = value
-
-    def copy_weights_from(self, other: "Module") -> None:
-        """Copy parameter values from another module with identical structure."""
-        self.load_state_dict(other.state_dict())
 
     def __repr__(self) -> str:
         child_lines = [f"  ({name}): {module.__class__.__name__}" for name, module in self._modules.items()]

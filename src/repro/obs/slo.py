@@ -177,8 +177,8 @@ class SLOSpec:
             good = history.counter_delta(self.good, window)
             return min(max(1.0 - good / total, 0.0), 1.0)
         if self.kind == "zero":
-            # counter_delta, not delta: the first event of a kind *creates*
-            # its series, and that 0 -> N appearance must read as a breach.
+            # The first event of a kind *creates* its series, and
+            # counter_delta reads that 0 -> N appearance as a breach.
             return 1.0 if history.counter_delta(series, window) > 0.0 else 0.0
         values = history.values(series, window)
         if not values:
@@ -407,10 +407,6 @@ class SLOEngine:
             and (severity is None or alert.spec.severity == severity)
         ]
 
-    def page_firing(self) -> bool:
-        """True while any page-severity alert is firing (degrades healthz)."""
-        return bool(self.firing(severity="page"))
-
     def transitions(self, limit: int = 100) -> List[Dict[str, Any]]:
         """The most recent transition records, oldest first."""
         with self._lock:
@@ -470,17 +466,17 @@ def server_source(server: Any):
 def fleet_source(fleet: Any):
     """Per-stream monitor gauges + per-kind event counters of one fleet.
 
-    Emits ``stream.<name>.<metric>`` rolling-monitor gauges (coverage, MAE,
-    ...), cumulative ``events.<kind>`` counters over the fleet-level event
-    log and ``stream_events.<kind>`` counters over the per-stream logs —
-    zero-drop SLOs watch ``events.stream_predict_failed``.
+    Emits ``stream.<name>.<metric>`` rolling-monitor gauges (coverage in
+    percent, MAE, ...), cumulative ``events.<kind>`` counters of the
+    fleet-level event log and ``stream_events.<kind>`` counters summed over
+    the per-stream logs — zero-drop SLOs watch
+    ``events.stream_predict_failed``.  The counters are the logs' own
+    per-kind counts, so a sample costs the same however long the logs grow.
     """
 
     def sample() -> Dict[str, float]:
         values: Dict[str, float] = {"tick": float(fleet._tick)}
-        for kind, count in Counter(
-            event.kind for event in fleet.event_log.events
-        ).items():
+        for kind, count in fleet.event_log.counts.items():
             values[f"events.{kind}"] = float(count)
         stream_kinds: Counter = Counter()
         for name, stream in fleet.streams.items():
@@ -489,7 +485,7 @@ def fleet_source(fleet: Any):
                 if key in snapshot:
                     values[f"stream.{name}.{key}"] = snapshot[key]
             values[f"stream.{name}.steps"] = float(stream.core.step)
-            stream_kinds.update(event.kind for event in stream.core.event_log.events)
+            stream_kinds.update(stream.core.event_log.counts)
         for kind, count in stream_kinds.items():
             values[f"stream_events.{kind}"] = float(count)
         return values
@@ -517,7 +513,7 @@ def gateway_source(gateway: Any):
 
 def default_slos(
     coverage_target: float = 0.80,
-    coverage_bound: float = 0.85,
+    coverage_bound: float = 85.0,
     p99_bound_s: float = 0.5,
     availability: float = 0.99,
 ) -> List[SLOSpec]:
@@ -526,6 +522,8 @@ def default_slos(
     Assumes sources registered as ``gateway`` (:func:`gateway_source`),
     ``fleet`` (:func:`fleet_source`) and ``server`` (:func:`server_source`) —
     the wiring :meth:`StreamFleet.attach_slo` and :class:`Gateway` perform.
+    ``coverage_bound`` is in percent, like the monitor's rolling coverage
+    that ``fleet.stream.*.coverage`` samples.
     """
     return [
         SLOSpec(

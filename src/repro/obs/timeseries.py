@@ -10,10 +10,10 @@ resulting ``(tick, values)`` rows land in a bounded ring.
 
 Query surface, all over the most recent ``window`` samples:
 
-* :meth:`latest` / :meth:`series` — point and windowed reads of one metric;
-* :meth:`delta` — last-minus-first, the counter-increase primitive;
-* :meth:`rate` — :meth:`delta` per tick;
-* :meth:`values` — the raw windowed value list (gauge breach fractions).
+* :meth:`series` — the ``(tick, value)`` points of one metric;
+* :meth:`values` — the raw windowed value list (gauge breach fractions);
+* :meth:`counter_delta` — how much a cumulative counter rose, counting the
+  increment that created its series.
 
 Sampling is the only mutation and is driven by whoever owns the clock
 (:meth:`StreamFleet.tick` in the serving stack, a plain loop in tests), so
@@ -68,10 +68,6 @@ class MetricsHistory:
             raise TypeError(f"source {name!r} is not callable")
         with self._lock:
             self._sources[str(name)] = source
-
-    def remove_source(self, name: str) -> None:
-        with self._lock:
-            self._sources.pop(str(name), None)
 
     def sources(self) -> List[str]:
         with self._lock:
@@ -152,13 +148,6 @@ class MetricsHistory:
             rows = rows[-max(int(window), 0):]
         return rows
 
-    def latest(self, metric: str) -> Optional[float]:
-        """Most recent recorded value of ``metric`` (``None`` if never seen)."""
-        for _, values in reversed(self._recent(None)):
-            if metric in values:
-                return values[metric]
-        return None
-
     def series(self, metric: str, window: Optional[int] = None) -> List[Tuple[int, float]]:
         """``(tick, value)`` points of ``metric`` over the last ``window`` samples."""
         return [
@@ -171,26 +160,16 @@ class MetricsHistory:
         """Just the values of :meth:`series` (gauge breach-fraction input)."""
         return [value for _, value in self.series(metric, window)]
 
-    def delta(self, metric: str, window: Optional[int] = None) -> float:
-        """Last minus first value over the window (0.0 with < 2 points).
-
-        The counter primitive: with cumulative sources, ``delta`` is "how
-        much did this counter increase over the last ``window`` samples".
-        """
-        points = self.series(metric, window)
-        if len(points) < 2:
-            return 0.0
-        return points[-1][1] - points[0][1]
-
     def counter_delta(self, metric: str, window: Optional[int] = None) -> float:
-        """:meth:`delta` for counters that may not exist from the start.
+        """How much a cumulative counter rose over the window.
 
-        Per-kind counters (the fleet's ``events.<kind>`` families) only
-        appear in sampled rows once the first event of that kind lands, so
-        plain :meth:`delta` misses the very increment that created the
-        series.  Here, window rows sampled *before* the metric's first
-        point count as implicit zeros — the 0 → N appearance reads as an
-        increase of N.  Rows only read as implicit zeros when they exist
+        Last minus first value (0.0 with fewer than 2 points), except that
+        per-kind counters (the fleet's ``events.<kind>`` families) only
+        appear in sampled rows once the first event of that kind lands, and
+        a last-minus-first would miss the very increment that created the
+        series.  So window rows sampled *before* the metric's first point
+        count as implicit zeros — the 0 → N appearance reads as an increase
+        of N.  Rows only read as implicit zeros when they exist
         without the metric; attaching to a long-lived process mid-run
         contributes no such rows, so a pre-existing cumulative total is a
         baseline, not a burst.
@@ -204,16 +183,6 @@ class MetricsHistory:
         if len(points) < 2:
             return 0.0
         return points[-1][1] - points[0][1]
-
-    def rate(self, metric: str, window: Optional[int] = None) -> float:
-        """:meth:`delta` per tick over the window (0.0 with < 2 points)."""
-        points = self.series(metric, window)
-        if len(points) < 2:
-            return 0.0
-        ticks = points[-1][0] - points[0][0]
-        if ticks <= 0:
-            return 0.0
-        return (points[-1][1] - points[0][1]) / ticks
 
     def clear(self) -> None:
         with self._lock:

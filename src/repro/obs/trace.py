@@ -247,11 +247,6 @@ class TraceStore:
         with self._lock:
             return list(self._spans.get(trace_id, ()))
 
-    def trace_ids(self) -> List[str]:
-        """Stored trace IDs, most recent last."""
-        with self._lock:
-            return list(self._spans)
-
     def traces(self, limit: int = 20) -> List[Dict[str, Any]]:
         """The ``limit`` most recent traces as JSON-ready span trees.
 

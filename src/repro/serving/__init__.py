@@ -3,12 +3,10 @@
 Cooperating pieces:
 
 * :class:`~repro.serving.batching.MicroBatcher` — a size-or-deadline request
-  queue that groups single-window requests into micro-batches;
-* :class:`~repro.serving.cache.PredictionCache` — a thread-safe LRU keyed on
-  ``(model version, input hash, inference params)``, and
-  :class:`~repro.serving.cache.SharedPredictionCache` — its multi-deployment
-  sibling: one global entry budget, per-deployment namespaces, fair-share
-  eviction;
+  queue that groups the windows of many submits into micro-batches;
+* :class:`~repro.serving.cache.SharedPredictionCache` — a thread-safe LRU
+  keyed on ``(model version, input hash, inference params)``: one global
+  entry budget, per-deployment namespaces, fair-share eviction;
 * :class:`~repro.serving.pool.ModelPool` /
   :class:`~repro.serving.pool.Deployment` — named, versioned models behind
   one endpoint, with an atomically re-pointable default route
@@ -21,11 +19,12 @@ Cooperating pieces:
 * :class:`~repro.serving.server.InferenceServer` — the thread-pool
   dispatcher tying them together.
 
-Single-model usage (unchanged legacy surface)::
+Single-model usage::
 
     server = method.serve(max_batch_size=32, cache_size=4096)
     with server:
         results = server.predict_many(windows)   # list of PredictionResult
+        server.deploy(server.pool.default_name, refitted, version="v2")  # hot swap
 
 Multi-model serving with canary promotion::
 
@@ -42,11 +41,7 @@ Multi-model serving with canary promotion::
 """
 
 from repro.serving.batching import InferenceRequest, MicroBatcher
-from repro.serving.cache import (
-    PredictionCache,
-    SharedPredictionCache,
-    prediction_cache_key,
-)
+from repro.serving.cache import SharedPredictionCache, prediction_cache_key
 from repro.serving.pool import Deployment, ModelPool, resolve_predict_fn
 from repro.serving.router import (
     KeyRouter,
@@ -60,7 +55,6 @@ from repro.serving.server import InferenceServer, ServerStopped, serve_method
 __all__ = [
     "InferenceRequest",
     "MicroBatcher",
-    "PredictionCache",
     "SharedPredictionCache",
     "prediction_cache_key",
     "Deployment",

@@ -1,9 +1,9 @@
 """Request micro-batching queue.
 
-Single-window requests arriving from many clients are collected into
-micro-batches before hitting the model: the vectorized engine's cost per
-window drops sharply with batch size, so trading a small queueing delay
-(``max_wait_ms``) for larger forwards raises throughput substantially.
+Requests arriving from many clients are collected into micro-batches before
+hitting the model: the vectorized engine's cost per window drops sharply
+with batch size, so trading a small queueing delay (``max_wait_ms``) for
+larger forwards raises throughput substantially.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class MicroBatcher:
     Requests that arrive together (:meth:`put_group`) are one queue item, so
     the dispatcher never sees half of them.  A group is cut into full
     batches whatever ``max_wait_ms`` is; only its last, partial batch waits
-    for more requests.
+    for more requests.  A single request is a group of one.
     """
 
     def __init__(self, max_batch_size: int = 64, max_wait_ms: float = 2.0) -> None:
@@ -67,33 +67,12 @@ class MicroBatcher:
             raise ValueError("max_wait_ms must be >= 0")
         self.max_batch_size = int(max_batch_size)
         self.max_wait_ms = float(max_wait_ms)
-        # Items: one InferenceRequest, a list of them (a group), or _Shutdown.
+        # Items: a list of InferenceRequests (a group), or _Shutdown.
         self._queue: "queue.Queue" = queue.Queue()
         # The rest of a group cut at max_batch_size; only next_batch's
         # (single) consumer thread touches it.
         self._carry: List[InferenceRequest] = []
         self._closed = threading.Event()
-
-    def submit(
-        self,
-        window: np.ndarray,
-        key: Optional[Any] = None,
-        primary: Optional[str] = None,
-        shadows: Tuple[str, ...] = (),
-        trace: Optional[SpanContext] = None,
-    ) -> Future:
-        """Enqueue one window; returns a future resolved by the dispatcher."""
-        if self._closed.is_set():
-            raise RuntimeError("batcher is closed")
-        request = InferenceRequest(
-            window=np.asarray(window, dtype=np.float64),
-            key=key,
-            primary=primary,
-            shadows=tuple(shadows),
-            trace=trace,
-        )
-        self._queue.put(request)
-        return request.future
 
     def put_group(self, requests: List[InferenceRequest]) -> None:
         """Enqueue requests that arrived together as one queue operation.
@@ -111,9 +90,7 @@ class MicroBatcher:
         """Requests currently waiting to be batched (approximate)."""
         with self._queue.mutex:
             queued = sum(
-                len(item) if isinstance(item, list) else 1
-                for item in self._queue.queue
-                if not isinstance(item, _Shutdown)
+                len(item) for item in self._queue.queue if isinstance(item, list)
             )
         return queued + len(self._carry)
 
@@ -123,7 +100,7 @@ class MicroBatcher:
         self._queue.put(_Shutdown())
 
     @property
-    def closed(self) -> bool:
+    def closed(self) -> bool:  # repro: noqa[unused/symbol] queue state query
         return self._closed.is_set()
 
     def next_batch(self, poll_timeout: float = 0.1) -> Optional[List[InferenceRequest]]:
@@ -142,7 +119,7 @@ class MicroBatcher:
                 return [] if not self._closed.is_set() else None
             if isinstance(first, _Shutdown):
                 return None
-            batch = _as_requests(first)
+            batch = first
         deadline = time.perf_counter() + self.max_wait_ms / 1000.0
         while len(batch) < self.max_batch_size:
             remaining = deadline - time.perf_counter()
@@ -156,13 +133,9 @@ class MicroBatcher:
                 # Preserve the shutdown signal for the next next_batch() call.
                 self._queue.put(item)
                 break
-            batch.extend(_as_requests(item))
+            batch.extend(item)
         if len(batch) > self.max_batch_size:
             self._carry = batch[self.max_batch_size :]
             del batch[self.max_batch_size :]
         return batch
 
-
-def _as_requests(item: Any) -> List[InferenceRequest]:
-    """A queue item as a list of requests (a group's list is the batcher's own)."""
-    return item if isinstance(item, list) else [item]

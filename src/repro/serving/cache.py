@@ -1,4 +1,4 @@
-"""Thread-safe LRU caches for prediction results.
+"""Thread-safe, deployment-namespaced LRU cache for prediction results.
 
 Traffic-forecast serving sees heavy key re-use: the same sensor windows are
 requested by many concurrent clients (dashboards, routing queries) within a
@@ -6,14 +6,11 @@ forecast refresh period.  Caching a :class:`~repro.core.inference.PredictionResu
 per *(model version, input window, inference parameters)* key turns those
 duplicates into O(1) lookups instead of repeated MC sampling.
 
-Two cache shapes:
-
-* :class:`PredictionCache` — one flat LRU, the single-model cache;
-* :class:`SharedPredictionCache` — one *global* entry budget shared by many
-  named deployments, with per-deployment (namespace) LRU chains and
-  fair-share eviction: budget pressure always evicts from the namespace
-  currently holding the most entries, so one hot deployment cannot flush a
-  quiet deployment's entire working set.
+:class:`SharedPredictionCache` keeps one *global* entry budget shared by
+every named deployment, with per-deployment (namespace) LRU chains and
+fair-share eviction: budget pressure always evicts from the namespace
+currently holding the most entries, so one hot deployment cannot flush a
+quiet deployment's entire working set.
 """
 
 from __future__ import annotations
@@ -42,67 +39,6 @@ def prediction_cache_key(window: np.ndarray, model_version: str, **params: Any) 
     digest.update(repr(window.shape).encode("utf-8"))
     digest.update(window.tobytes())
     return digest.hexdigest()
-
-
-class PredictionCache:
-    """Bounded LRU mapping cache keys to prediction results.
-
-    All operations are guarded by a lock so the cache can be shared between
-    the dispatcher thread and callers inspecting :attr:`stats`.
-    """
-
-    def __init__(self, capacity: int = 1024) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = int(capacity)
-        self._entries: "OrderedDict[str, Any]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-
-    def get(self, key: str) -> Optional[Any]:
-        with self._lock:
-            if key not in self._entries:
-                self._misses += 1
-                return None
-            self._hits += 1
-            self._entries.move_to_end(key)
-            return self._entries[key]
-
-    def put(self, key: str, value: Any) -> None:
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self._entries[key] = value
-                return
-            self._entries[key] = value
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    @property
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "size": len(self._entries),
-                "capacity": self.capacity,
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
-            }
 
 
 class SharedPredictionCache:
@@ -169,7 +105,7 @@ class SharedPredictionCache:
             self._size -= len(space)
             return len(space)
 
-    def namespace_sizes(self) -> Dict[str, int]:
+    def namespace_sizes(self) -> Dict[str, int]:  # repro: noqa[unused/symbol] fair-share view
         """Current entry count per live namespace (a copy)."""
         with self._lock:
             return {name: len(space) for name, space in self._spaces.items()}

@@ -136,8 +136,8 @@ class ModelPool:
         Re-deploying an existing name is the hot-swap path: the new
         ``(predict_fn, version)`` pair becomes visible atomically, the old
         version's cache namespace is dropped, and batches already holding the
-        old snapshot finish on it — exactly the legacy ``swap_model``
-        semantics, per named deployment.
+        old snapshot finish on it, so no request is dropped or answered by a
+        mix of versions.
         """
         predict_fn = resolve_predict_fn(model)
         with self._lock:

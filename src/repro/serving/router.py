@@ -70,15 +70,6 @@ class KeyRouter(Router):
         except TypeError:  # unhashable key
             return RouteDecision(primary=self.default)
 
-    def set_route(self, key: Any, deployment: Optional[str]) -> None:
-        """Re-point one key (atomic under the GIL — dict assignment).
-
-        Fleet promotion uses this to move a region's keys onto a newly
-        promoted deployment without touching the other regions' routes;
-        requests already queued keep the deployment their batch snapshots.
-        """
-        self.routes[key] = deployment
-
     def set_routes(self, routes: Dict[Any, str]) -> None:
         """Re-point several keys atomically (e.g. a whole region).
 

@@ -3,11 +3,12 @@
 :class:`InferenceServer` fronts a :class:`~repro.serving.pool.ModelPool` of
 named, versioned deployments with a concurrent serving endpoint:
 
-1. single-window requests are routed by a pluggable
+1. each window is routed by a pluggable
    :class:`~repro.serving.router.Router` (key-based, weighted canary splits,
-   shadow mirroring) and queued by a :class:`MicroBatcher`;
+   shadow mirroring), and the windows of one submit are queued as one
+   :class:`MicroBatcher` group;
 2. each micro-batch snapshots one consistent ``deployment -> (predict_fn,
-   version)`` view, so :meth:`promote` / :meth:`rollback` / :meth:`swap_model`
+   version)`` view, so :meth:`deploy` / :meth:`promote` / :meth:`rollback`
    re-point routes atomically without dropping or mixing in-flight requests;
 3. windows already in the shared, deployment-namespaced cache are answered
    without touching a model; duplicates within a batch run the model once;
@@ -17,9 +18,10 @@ named, versioned deployments with a concurrent serving endpoint:
    predictions feed rolling divergence metrics and warm their cache
    namespace, but never touch a client future.
 
-The legacy single-model shape still works unchanged:
-``InferenceServer(predict_fn, model_version=...)`` is a pool with exactly one
-deployment on the default route, and ``swap_model`` hot-swaps it in place.
+The single-model shape ``InferenceServer(predict_fn, model_version=...)``
+is a pool with exactly one deployment on the default route; re-deploying it,
+``server.deploy(server.pool.default_name, model, version=...)``, hot-swaps
+it in place.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from repro.obs.profiler import profiling_enabled, record_phase
 from repro.obs.trace import current_context, record_span
 from repro.serving.batching import InferenceRequest, MicroBatcher
 from repro.serving.cache import SharedPredictionCache, prediction_cache_key
-from repro.serving.pool import Deployment, ModelPool, PredictFn, resolve_predict_fn
+from repro.serving.pool import Deployment, ModelPool, PredictFn
 from repro.serving.router import RouteDecision, Router
 from repro.utils.jsonsafe import json_ready
 
@@ -60,11 +62,11 @@ class InferenceServer:
     Parameters
     ----------
     predict_fn:
-        Legacy single-model shim: when given, it is registered as the
+        Single-model shorthand: when given, it is registered as the
         ``"default"`` deployment at ``model_version`` and becomes the default
         route.  Omit it and call :meth:`deploy` for multi-model serving.
     model_version:
-        Version of the shim deployment; namespaces its cache entries.
+        Version of that deployment; namespaces its cache entries.
     router:
         Maps each request to a deployment (see :mod:`repro.serving.router`).
         The base :class:`Router` sends everything to the default route.
@@ -82,7 +84,7 @@ class InferenceServer:
         this constraint.)
     """
 
-    #: Name of the deployment the legacy single-model constructor registers.
+    #: Name of the deployment the single-model constructor registers.
     DEFAULT_DEPLOYMENT = "default"
 
     def __init__(
@@ -122,7 +124,6 @@ class InferenceServer:
         self._batches_dispatched = 0
         self._model_windows = 0
         self._shadow_windows = 0
-        self._models_swapped = 0
         self._promotions = 0
         self._rollbacks = 0
         self._route_fallbacks = 0
@@ -196,28 +197,22 @@ class InferenceServer:
 
     @property
     def model_version(self) -> Optional[str]:
-        """Version of the deployment on the default route (legacy surface)."""
+        """Version of the deployment on the default route."""
         name = self.pool.default_name
         if name is None:
             return None
         deployment = self.pool.get(name)
         return deployment.version if deployment is not None else None
 
-    @property
-    def predict_fn(self) -> Optional[PredictFn]:
-        """Predict function on the default route (legacy surface)."""
-        name = self.pool.default_name
-        if name is None:
-            return None
-        deployment = self.pool.get(name)
-        return deployment.predict_fn if deployment is not None else None
-
     def deploy(self, name: str, model: Any, version: Optional[str] = None) -> Deployment:
         """Register (or hot-replace) a named deployment.
 
         ``model`` is a :class:`~repro.api.Forecaster`, a fitted UQ method, a
         bare predict function, or a checkpoint directory path.  The first
-        deployment becomes the default route.
+        deployment becomes the default route.  Re-deploying a name swaps its
+        model with zero dropped requests: batches already queued finish on
+        the version they snapshotted, and the old version's cache entries
+        are dropped.
         """
         deployment = self.pool.deploy(name, model, version=version)
         log_event("serving.deploy", deployment=name, version=deployment.version)
@@ -232,8 +227,8 @@ class InferenceServer:
     def promote(self, name: str) -> Optional[str]:
         """Atomically make ``name`` the default route; returns the previous name.
 
-        Same zero-drop semantics as :meth:`swap_model`: batches in flight
-        finish on the deployment they snapshotted.
+        Same zero-drop semantics as re-deploying: batches in flight finish
+        on the deployment they snapshotted.
         """
         previous = self.pool.promote(name)
         with self._lock:
@@ -251,7 +246,7 @@ class InferenceServer:
         return new_default
 
     @classmethod
-    def from_checkpoint(
+    def from_checkpoint(  # repro: noqa[unused/symbol] documented checkpoint boot path
         cls,
         directory: Union[str, Path],
         model_version: Optional[str] = None,
@@ -274,32 +269,6 @@ class InferenceServer:
         )
         return cls(forecaster.predict, model_version=version, **kwargs)
 
-    def swap_model(self, model, version: str) -> Optional[str]:
-        """Atomically replace the default-route model; returns the previous version.
-
-        ``model`` is anything with a batch ``predict`` method (a
-        :class:`~repro.api.Forecaster`, a fitted UQ method) or a bare predict
-        function.  Queued requests are never dropped: every batch snapshots
-        one consistent ``(predict_fn, version)`` pair when it starts
-        processing, so in-flight batches finish on whichever model they
-        started with and later batches (and their cache keys) use the new
-        one.  Versioned cache namespaces mean stale entries can never be
-        served.
-        """
-        predict_fn = resolve_predict_fn(model)
-        name = self.pool.default_name or self.DEFAULT_DEPLOYMENT
-        previous = self.pool.get(name)
-        self.pool.deploy(name, predict_fn, version=str(version))
-        with self._lock:
-            self._models_swapped += 1
-        log_event(
-            "serving.swap_model",
-            deployment=name,
-            version=str(version),
-            previous=previous.version if previous is not None else None,
-        )
-        return previous.version if previous is not None else None
-
     # ------------------------------------------------------------------ #
     # Client API
     # ------------------------------------------------------------------ #
@@ -315,22 +284,10 @@ class InferenceServer:
         router; servers without a key-aware router can ignore it.
         ``deployment`` pins the request at a named deployment, bypassing the
         router entirely — the escape hatch trial machinery uses to score a
-        staged candidate on exactly the traffic it chooses.
+        staged candidate on exactly the traffic it chooses.  A one-window
+        :meth:`submit_many`.
         """
-        window = np.asarray(window, dtype=np.float64)
-        if window.ndim != 2:
-            raise ValueError(f"submit expects a single (history, num_nodes) window, got {window.shape}")
-        with self._lock:
-            if not self._running:
-                raise RuntimeError(
-                    "server is not running; call start() or use it as a context manager"
-                )
-            # Routed inside the running check: a rejected submit must not
-            # charge stateful routers (deficit counters track *served*
-            # traffic, or a TrafficSplitRouter's realized shares drift).
-            request = self._route(window, key, deployment)
-            self.batcher.put_group([request])
-        return request.future
+        return self.submit_many([window], keys=[key], deployments=[deployment])[0]
 
     def _route(
         self, window: np.ndarray, key: Optional[Any], deployment: Optional[str]
@@ -390,6 +347,9 @@ class InferenceServer:
                 raise RuntimeError(
                     "server is not running; call start() or use it as a context manager"
                 )
+            # Routed inside the running check: a rejected submit must not
+            # charge stateful routers (deficit counters track *served*
+            # traffic, or a TrafficSplitRouter's realized shares drift).
             requests = [
                 self._route(
                     window,
@@ -430,7 +390,6 @@ class InferenceServer:
                 "batches_dispatched": self._batches_dispatched,
                 "model_windows": self._model_windows,
                 "shadow_windows": self._shadow_windows,
-                "models_swapped": self._models_swapped,
                 "promotions": self._promotions,
                 "rollbacks": self._rollbacks,
                 "route_fallbacks": self._route_fallbacks,
@@ -452,13 +411,6 @@ class InferenceServer:
         stats["default_route"] = self.pool.default_name
         stats["deployments"] = self.pool.stats
         return json_ready(stats)
-
-    def deployment_stats(self, name: str) -> Dict[str, float]:
-        """Counters and rolling shadow divergence of one deployment."""
-        deployment = self.pool.get(name)
-        if deployment is None:
-            raise KeyError(f"no deployment named {name!r}")
-        return deployment.stats
 
     # ------------------------------------------------------------------ #
     # Dispatcher

@@ -449,7 +449,7 @@ class AdaptiveConformalCalibrator:
         """
         return conformal_levels([self], native=False)[0]
 
-    def margins(self) -> np.ndarray:
+    def margins(self) -> np.ndarray:  # repro: noqa[unused/symbol] native counterpart of quantiles()
         """Current per-horizon *additive* margins ``m_h`` (native-bound mode).
 
         The CQR analogue of :meth:`quantiles`: the finite-sample-corrected
@@ -476,28 +476,6 @@ class AdaptiveConformalCalibrator:
         if self._native is None and result is not None:
             self._native = bool(result.has_native_bounds)
         return bool(self._native)
-
-    def score(
-        self,
-        observed: np.ndarray,
-        mean: np.ndarray,
-        scale: np.ndarray,
-        lower: Optional[np.ndarray] = None,
-        upper: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Per-sensor nonconformity scores of one resolved horizon row.
-
-        Native-bound calibrators score against the method's own bounds
-        (``max(lower - y, y - upper)``, the CQR score); scaled calibrators
-        use the locally-weighted residual ``|y - mean| / scale``.  All
-        arrays are 1-D over the *observed* sensors.
-        """
-        return nonconformity(observed, mean, scale, lower, upper, native=self.uses_native())
-
-    def native_reference(self, result: PredictionResult) -> Tuple[np.ndarray, np.ndarray]:
-        """The bounds native-mode nonconformity is scored/margined against
-        (see :func:`native_bounds`)."""
-        return native_bounds([self], result, self._scale(result))
 
     def intervals(self, result: PredictionResult) -> Tuple[np.ndarray, np.ndarray]:
         """Width-adapted ``(lower, upper)`` bounds for a batch result."""
@@ -568,41 +546,6 @@ class AdaptiveConformalCalibrator:
             [scores.size],
             [np.nan if miscoverage is None else float(miscoverage)],
         )
-
-    def update_batch(
-        self,
-        result: PredictionResult,
-        targets: np.ndarray,
-        lower: Optional[np.ndarray] = None,
-        upper: Optional[np.ndarray] = None,
-    ) -> None:
-        """Warm-start from a batch of resolved forecasts (e.g. a validation split).
-
-        ``targets`` aligns with ``result`` as ``(batch, horizon, nodes)``;
-        NaN targets are skipped.  When emitted bounds are supplied the
-        realized per-horizon miscoverage also drives the ``alpha_t`` update.
-        """
-        targets = np.asarray(targets, dtype=np.float64)
-        if targets.shape != result.mean.shape:
-            raise ValueError(
-                f"targets {targets.shape} do not align with result {result.mean.shape}"
-            )
-        if self.uses_native(result):
-            native_lower, native_upper = self.native_reference(result)
-            scores = np.maximum(native_lower - targets, targets - native_upper)
-        else:
-            scale = self._scale(result)
-            scores = np.abs(targets - result.mean) / scale
-        for h in range(self.horizon):
-            row_scores = scores[:, h, :][np.isfinite(scores[:, h, :])]
-            miss: Optional[float] = None
-            if lower is not None and upper is not None:
-                t = targets[:, h, :]
-                valid = np.isfinite(t)
-                if valid.any():
-                    outside = (t < lower[:, h, :]) | (t > upper[:, h, :])
-                    miss = float(outside[valid].mean())
-            self.update(h, row_scores, miscoverage=miss)
 
     def reset_scores(self, keep_alpha: bool = True) -> None:
         """Drop the buffered scores (and any static freeze) for recalibration.

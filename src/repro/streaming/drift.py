@@ -27,10 +27,9 @@ import numpy as np
 from repro.obs.events import log_event
 from repro.streaming.monitor import RollingStat
 
-#: Event kinds that signal genuine stream drift (as opposed to lifecycle
-#: notifications) — what fleet-level coordination and spatial aggregation
-#: listen for.  Detectors added later should register their kind here so
-#: every drift consumer picks them up.
+#: Event kinds the built-in detectors emit: the spatial aggregator's default
+#: ``watch_kinds``.  Refit quorum needs no list: the fleet and the solo
+#: runner count every detector event as drift, whatever its kind.
 DRIFT_KINDS = ("coverage_breach", "error_cusum")
 
 
@@ -107,10 +106,6 @@ class CoverageBreachDetector:
         self._coverage = RollingStat(window)
         self._scored = 0
         self._breached_steps = 0
-
-    @property
-    def rolling_coverage(self) -> float:
-        return self._coverage.mean
 
     def update(self, step: int, covered_fraction: Optional[float]) -> Optional[DriftEvent]:
         """Fold one step's covered fraction in; returns an event if it fires."""
@@ -318,12 +313,23 @@ class ErrorCusumDetector:
 
 @dataclass
 class EventLog:
-    """Append-only, thread-friendly record of stream events."""
+    """Append-only, thread-friendly record of stream events.
+
+    ``counts`` holds the number of events per kind, counted as they are
+    appended (and rebuilt by the constructor on restore), so the metrics
+    readers never walk ``events``.
+    """
 
     events: List[DriftEvent] = field(default_factory=list)
+    counts: Dict[str, int] = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for event in self.events:
+            self.counts[event.kind] = self.counts.get(event.kind, 0) + 1
 
     def append(self, event: DriftEvent) -> DriftEvent:
         self.events.append(event)
+        self.counts[event.kind] = self.counts.get(event.kind, 0) + 1
         # Every detector firing and lifecycle notification funnels through
         # here, so one hook gives the structured log the full drift story
         # (restores rebuild via the constructor and do not re-emit).
@@ -336,7 +342,7 @@ class EventLog:
         )
         return event
 
-    def of_kind(self, kind: str) -> List[DriftEvent]:
+    def of_kind(self, kind: str) -> List[DriftEvent]:  # repro: noqa[unused/symbol] for tests
         return [event for event in self.events if event.kind == kind]
 
     def to_records(self) -> List[Dict[str, Any]]:

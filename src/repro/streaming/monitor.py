@@ -243,10 +243,6 @@ class StreamingMonitor:
         """Rolling-window coverage, in percent (NaN before any update)."""
         return self._covered.mean * 100.0
 
-    @property
-    def mean_width(self) -> float:
-        return self._width.mean
-
     def snapshot(self) -> Dict[str, Any]:
         """The rolling metric bundle: online PICP / MPIW / MAE / RMSE / Winkler."""
         mse = self._sq_error.mean

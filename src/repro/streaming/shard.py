@@ -287,24 +287,6 @@ class StreamCore:
         self._recent.append(filled)
         return filled
 
-    def ingest(
-        self, observation: np.ndarray, mask: Optional[np.ndarray] = None
-    ) -> ResolvedStep:
-        """Resolve + detect + append for one observation row (one call).
-
-        Convenience composition for driving a bare core directly (scripts,
-        custom loops); the runner and the fleet call the pieces individually
-        so they can interleave candidate-trial scoring between them.  Does
-        **not** advance the step counter — call :meth:`advance` once the
-        step's forecast has been recorded.
-        """
-        obs, valid = self.normalize(observation, mask)
-        s = self._step
-        resolved = self.resolve(s, obs, valid)
-        resolved.events.extend(self.detect(s, resolved.covered, resolved.abs_error))
-        resolved.filled = self.append(obs, valid)
-        return resolved
-
     def advance(self) -> int:
         """Close the step; returns the index of the step just completed."""
         s = self._step

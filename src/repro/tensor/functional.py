@@ -60,7 +60,9 @@ def relu(x: ArrayLike) -> Tensor:
     return _as_tensor(x).relu()
 
 
-def leaky_relu(x: ArrayLike, negative_slope: float = 0.01) -> Tensor:
+def leaky_relu(  # repro: noqa[unused/symbol] op offered to model code
+    x: ArrayLike, negative_slope: float = 0.01
+) -> Tensor:
     return _as_tensor(x).leaky_relu(negative_slope)
 
 
@@ -164,7 +166,7 @@ def softmax(x: ArrayLike, axis: int = -1) -> Tensor:
     return exps / exps.sum(axis=axis, keepdims=True)
 
 
-def log_softmax(x: ArrayLike, axis: int = -1) -> Tensor:
+def log_softmax(x: ArrayLike, axis: int = -1) -> Tensor:  # repro: noqa[unused/symbol] op offered to model code
     x = _as_tensor(x)
     shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
@@ -207,37 +209,24 @@ def dropout_mask(
     return mask
 
 
-def gaussian_nll(
-    mean: ArrayLike, log_var: ArrayLike, target: ArrayLike, reduce: bool = True
-) -> Tensor:
-    """Heteroscedastic Gaussian negative log-likelihood (paper Eq. 8, negated).
-
-    ``0.5 * (log sigma^2 + (y - mu)^2 / sigma^2)`` up to the additive
-    ``0.5 log(2 pi)`` constant, which does not affect optimization but is
-    included so the value matches the MNLL metric definition.
-    """
-    mean, log_var, target = _as_tensor(mean), _as_tensor(log_var), _as_tensor(target)
-    inv_var = (-log_var).exp()
-    nll = 0.5 * (log_var + (target - mean) * (target - mean) * inv_var) + 0.5 * float(
-        np.log(2.0 * np.pi)
-    )
-    return nll.mean() if reduce else nll
-
-
 def l1_loss(prediction: ArrayLike, target: ArrayLike, reduce: bool = True) -> Tensor:
     prediction, target = _as_tensor(prediction), _as_tensor(target)
     loss = (prediction - target).abs()
     return loss.mean() if reduce else loss
 
 
-def mse_loss(prediction: ArrayLike, target: ArrayLike, reduce: bool = True) -> Tensor:
+def mse_loss(  # repro: noqa[unused/symbol] op offered to model code
+    prediction: ArrayLike, target: ArrayLike, reduce: bool = True
+) -> Tensor:
     prediction, target = _as_tensor(prediction), _as_tensor(target)
     diff = prediction - target
     loss = diff * diff
     return loss.mean() if reduce else loss
 
 
-def huber_loss(prediction: ArrayLike, target: ArrayLike, delta: float = 1.0) -> Tensor:
+def huber_loss(  # repro: noqa[unused/symbol] op offered to model code
+    prediction: ArrayLike, target: ArrayLike, delta: float = 1.0
+) -> Tensor:
     """Huber loss used by several point-prediction baselines."""
     prediction, target = _as_tensor(prediction), _as_tensor(target)
     diff = prediction - target

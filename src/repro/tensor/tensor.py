@@ -583,12 +583,5 @@ class Tensor:
         return Tensor(np.ones(shape), requires_grad=requires_grad)
 
     @staticmethod
-    def randn(*shape, rng: Optional[np.random.Generator] = None, requires_grad: bool = False) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        rng = rng if rng is not None else np.random.default_rng()
-        return Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
-
-    @staticmethod
     def eye(n: int, requires_grad: bool = False) -> "Tensor":
         return Tensor(np.eye(n), requires_grad=requires_grad)

@@ -44,11 +44,25 @@ CLEAN = textwrap.dedent(
 )
 
 
+#: Calls every public name of the fixture, so the ``unused`` rule (which
+#: counts callers under ``examples/``) has nothing to report in this tree.
+CALLER = textwrap.dedent(
+    """
+    from repro.streaming.fixture import Core
+
+    Core().get_state()
+    Core().wait(None)
+    """
+)
+
+
 @pytest.fixture
 def dirty_tree(tmp_path):
     package = tmp_path / "src" / "repro" / "streaming"
     package.mkdir(parents=True)
     (package / "fixture.py").write_text(DIRTY)
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "caller.py").write_text(CALLER)
     return tmp_path
 
 
@@ -124,7 +138,7 @@ class TestCLI:
     def test_list_rules(self, dirty_tree):
         result = run_cli(["--list-rules"], cwd=dirty_tree)
         assert result.returncode == 0
-        for family in ("lock-order", "checkpoint", "determinism", "boundary"):
+        for family in ("lock-order", "checkpoint", "determinism", "boundary", "unused"):
             assert family in result.stdout
 
     def test_json_schema_is_stable(self, dirty_tree):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import ModuleContext, all_rules
+from repro.analysis import ModuleContext, all_rules, analyze_paths
 from repro.analysis.framework import registered_rules
 
 
@@ -30,12 +30,13 @@ def rules_of(findings):
 
 
 class TestRegistry:
-    def test_all_four_families_registered(self):
+    def test_all_five_families_registered(self):
         assert set(registered_rules()) >= {
             "lock-order",
             "checkpoint",
             "determinism",
             "boundary",
+            "unused",
         }
 
     def test_unknown_rule_name_raises(self):
@@ -615,3 +616,123 @@ class TestBoundaryScope:
             relpath="src/repro/utils/fixture.py",
         )
         assert findings == []
+
+
+def run_unused(tmp_path, src, callers=None):
+    """Run ``unused`` over a one-module project; ``callers`` maps relpaths to code.
+
+    Returns ``(findings, suppressed)`` symbols.
+    """
+    files = {"src/repro/pkg/mod.py": src, **(callers or {})}
+    for relpath, code in files.items():
+        path = tmp_path / relpath
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(code))
+    report = analyze_paths(["src"], root=tmp_path, rules=["unused"])
+    assert {f.rule for f in report.findings + report.suppressed} <= {"unused/symbol"}
+    return (
+        sorted(f.symbol for f in report.findings),
+        sorted(f.symbol for f in report.suppressed),
+    )
+
+
+class TestUnused:
+    SOURCE = """
+        def helper():
+            return 1
+
+        def _private():
+            return helper()
+
+        class Thing:
+            def used(self):
+                return self
+
+            def spare(self):
+                return "helper spare"  # spare() only named in strings
+
+            def walk(self, node):
+                return [self.walk(child) for child in node]
+        """
+
+    def test_public_symbols_nothing_references_are_found(self, tmp_path):
+        findings, _ = run_unused(
+            tmp_path,
+            self.SOURCE,
+            {
+                # Tests are not callers, and strings / comments are not code.
+                "tests/test_mod.py": "from repro.pkg.mod import Thing\nThing().spare()\n",
+                "examples/demo.py": "from repro.pkg.mod import Thing\nThing().used()\n",
+            },
+        )
+        # helper is called by _private, so only the method names fail.
+        assert findings == ["Thing.spare", "Thing.walk"]
+
+    def test_a_reference_from_any_caller_tree_counts(self, tmp_path):
+        for tree in ("examples", "perfbench", "benchmarks", "tools", "src/repro/other"):
+            findings, _ = run_unused(
+                tmp_path,
+                self.SOURCE,
+                {
+                    f"{tree}/caller.py": (
+                        "from repro.pkg.mod import Thing\n"
+                        "Thing().used().spare()\n"
+                        "Thing().walk([])\n"
+                    )
+                },
+            )
+            assert findings == [], tree
+            (tmp_path / tree / "caller.py").unlink()
+
+    def test_unused_class_is_one_finding(self, tmp_path):
+        findings, _ = run_unused(
+            tmp_path,
+            """
+            class Orphan:
+                def method(self):
+                    return Orphan()
+            """,
+        )
+        assert findings == ["Orphan"]
+
+    def test_registered_classes_count_as_used(self, tmp_path):
+        findings, _ = run_unused(
+            tmp_path,
+            """
+            from repro.analysis.framework import register
+
+            @register
+            class Rule:
+                name = "x"
+
+            @registry.register("y")
+            class Other:
+                pass
+
+            @dataclass
+            class Plain:
+                pass
+            """,
+        )
+        assert findings == ["Plain"]
+
+    def test_noqa_pragma_suppresses_with_a_reason(self, tmp_path):
+        findings, suppressed = run_unused(
+            tmp_path,
+            """
+            def kept():  # repro: noqa[unused/symbol] documented user entry point
+                return 1
+
+            def dropped():
+                return 2
+            """,
+        )
+        assert findings == ["dropped"]
+        assert suppressed == ["kept"]
+
+    def test_modules_outside_src_are_not_checked(self, tmp_path):
+        (tmp_path / "src").mkdir()
+        (tmp_path / "tools").mkdir()
+        (tmp_path / "tools" / "script.py").write_text("def main():\n    pass\n")
+        report = analyze_paths(["tools"], root=tmp_path, rules=["unused"])
+        assert report.findings == []

@@ -107,10 +107,10 @@ class TestTemperatureCalibrator:
         empirical = np.mean((target - mean) ** 2)
         assert np.mean(calibrated) == pytest.approx(empirical, rel=0.1)
 
-    def test_calibrate_std(self):
+    def test_calibrate_variance_divides_by_the_squared_temperature(self):
         calibrator = TemperatureCalibrator()
         calibrator.temperature = 2.0
-        assert calibrator.calibrate_std(np.array([4.0]))[0] == pytest.approx(2.0)
+        assert calibrator.calibrate_variance(np.array([16.0]))[0] == pytest.approx(4.0)
 
     def test_objective_gradient_matches_finite_difference(self):
         target, mean, variance = self._predictions(scale=1.3, n=500)

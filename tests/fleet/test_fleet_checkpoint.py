@@ -104,7 +104,10 @@ class TestFleetCheckpoint:
 
         core = StreamCore(4, 2, refit_window=1000)
         for step in range(600):
-            core.ingest(np.full(3, float(step)))
+            obs, valid = core.normalize(np.full(3, float(step)))
+            resolved = core.resolve(core.step, obs, valid)
+            core.detect(core.step, resolved.covered, resolved.abs_error)
+            core.append(obs, valid)
             core.advance()
         restored = StreamCore(4, 2).set_state(core.get_state())
         assert restored.refit_window == 1000

@@ -12,6 +12,7 @@ from repro.graph import grid_network
 from repro.serving import InferenceServer, KeyRouter
 from repro.streaming import (
     CoverageBreachDetector,
+    DriftEvent,
     PersistenceForecaster,
     RefitPolicy,
     StreamingForecaster,
@@ -441,3 +442,61 @@ class TestForecasterFacade:
             assert results[-1]["c0"].prediction is not None
         finally:
             fleet.server.stop()
+
+
+class _KindDetector:
+    """A detector with its own event kind, firing once at a fixed step."""
+
+    kind = "sensor_fault"
+    signal = "abs_error"
+
+    def __init__(self, at):
+        self.at = at
+
+    def update(self, step, value):
+        if step != self.at:
+            return None
+        return DriftEvent(
+            kind=self.kind, step=step, value=1.0, threshold=0.0, message="stuck sensor"
+        )
+
+    def reset(self):
+        pass
+
+
+class TestCustomDetectorKinds:
+    """Every detector event is drift for the refit quorum, whatever its kind:
+    a ``detector_factory`` with a custom kind needs no extra fleet option."""
+
+    POLICY = dict(mode="immediate", cooldown=10_000, background=False)
+
+    def test_fleet_reaches_refit_quorum_on_a_custom_kind(self):
+        rows = _regime_shift_rows(quiet=20, loud=10)
+        server = InferenceServer(max_batch_size=4, max_wait_ms=1.0)
+        server.deploy("incumbent", PersistenceForecaster(horizon=2, sigma=1.0))
+        with server:
+            fleet = StreamFleet(
+                server, 3, 2,
+                detector_factory=lambda: [_KindDetector(at=12)],
+                refit_fn=lambda region, recents: _Offset(0.0),
+                refit_policy=RefitPolicy(quorum=2, window=3, **self.POLICY),
+            )
+            fleet.add_stream("a", region="r")
+            fleet.add_stream("b", region="r")
+            fleet.run({"a": iter(rows), "b": iter(rows)})
+        assert fleet["a"].core.event_log.counts == {"sensor_fault": 1}
+        (started,) = [e for e in fleet.event_log if e.kind == "region_refit_started"]
+        assert started.step == 12
+
+    def test_solo_runner_refits_on_the_same_custom_kind(self):
+        solo = StreamingForecaster(
+            PersistenceForecaster(horizon=2, sigma=1.0),
+            history=3,
+            horizon=2,
+            detectors=[_KindDetector(at=12)],
+            refit_fn=lambda recent: _Offset(0.0),
+            refit_policy=RefitPolicy(quorum=1, window=1, **self.POLICY),
+        )
+        solo.run(_regime_shift_rows(quiet=20, loud=10))
+        (started,) = [e for e in solo.event_log if e.kind == "recalibration_started"]
+        assert started.step == 12

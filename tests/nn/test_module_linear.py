@@ -193,8 +193,8 @@ class TestInit:
         w = init.kaiming_normal((300, 50), rng=np.random.default_rng(0))
         assert abs(w.std() - np.sqrt(2.0 / 300)) < 2e-3
 
-    def test_constant_and_zeros(self):
-        assert np.all(init.constant((3, 3), 2.5) == 2.5)
+    def test_zeros_and_ones(self):
+        assert np.all(init.ones((3, 3)) == 1.0)
         assert np.all(init.zeros((2,)) == 0.0)
 
     def test_fan_calculation_high_rank(self):

@@ -128,7 +128,8 @@ def test_model_forward_timing_excludes_waiting_for_the_predict_lock():
     recorded = profiler().snapshot()["model_forward"]
     assert recorded["count"] == 2
     assert abs(recorded["total_s"] - sum(slept)) <= 0.1 * sum(slept)
-    (trace_id,) = trace_store().trace_ids()
+    (trace,) = trace_store().traces()
+    trace_id = trace["trace_id"]
     forwards = [
         span.duration
         for span in trace_store().spans(trace_id)

@@ -2,12 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import repro.obs as obs
+from repro.fleet import StreamFleet
 from repro.obs.events import recent_events
 from repro.obs.slo import SLOEngine, SLOSpec, default_slos
 from repro.obs.timeseries import MetricsHistory
+from repro.serving import InferenceServer
 
 
 def _engine(*specs, **kwargs):
@@ -122,7 +125,7 @@ class TestStateMachine:
         (alert,) = engine.alerts()
         assert alert.state == "resolved"
         assert alert.fired_at is not None and alert.resolved_at is not None
-        assert engine.page_firing() is False
+        assert engine.firing(severity="page") == []
 
     def test_for_ticks_zero_fires_in_one_evaluation(self):
         engine = self._cov_engine(for_ticks=0)
@@ -151,7 +154,7 @@ class TestStateMachine:
         obs.configure(logging=True, log_sink=False)
         engine = self._cov_engine(for_ticks=0)
         self._drive(engine, [0.9] * 4 + [0.1] * 4)
-        assert engine.page_firing() is True
+        assert engine.firing(severity="page")
         assert [a.series for a in engine.firing(severity="page")] == ["m.cov"]
         kinds = [record["kind"] for record in recent_events()]
         assert "slo.alert_pending" in kinds and "slo.alert_firing" in kinds
@@ -238,3 +241,34 @@ class TestZeroKindFirstAppearance:
         assert [t["state"] for t in transitions] == ["pending", "firing"]
         engine.history.record(7, {"fleet.tick": 7.0, "fleet.events.failed": 3.0})
         assert [t["state"] for t in engine.evaluate(7)] == ["resolved"]
+
+
+class TestDefaultCoverageSLO:
+    """``stream_coverage`` compares the monitor's rolling coverage, which is
+    in percent, with a bound in percent."""
+
+    @staticmethod
+    def _held(covered, sensors, ticks=30):
+        """A one-stream fleet whose monitor is held at ``covered / sensors``."""
+        fleet = StreamFleet(InferenceServer(cache_size=0), history=2, horizon=1)
+        fleet.add_stream("s0")
+        engine = fleet.attach_slo(SLOEngine(default_slos()))
+        monitor = fleet["s0"].core.monitor
+        target = np.zeros(sensors)
+        lower = np.where(np.arange(sensors) < covered, -1.0, 1.0)
+        for tick in range(ticks):
+            monitor.update(target, target, lower, lower + 2.0)
+            engine.step(tick)
+        (alert,) = [a for a in engine.alerts() if a.spec.name == "stream_coverage"]
+        return monitor.coverage, alert
+
+    def test_stream_near_half_coverage_fires(self):
+        coverage, alert = self._held(covered=1, sensors=2)
+        assert coverage == pytest.approx(50.0)
+        assert alert.series == "fleet.stream.s0.coverage"
+        assert alert.state == "firing"
+
+    def test_stream_near_nominal_coverage_stays_inactive(self):
+        coverage, alert = self._held(covered=19, sensors=20)
+        assert coverage == pytest.approx(95.0)
+        assert alert.state == "inactive"

@@ -14,7 +14,7 @@ class TestSampling:
         history.add_source("fleet", lambda: {"tick": 7})
         values = history.sample(0)
         assert values == {"server.requests": 3.0, "server.depth": 1.5, "fleet.tick": 7.0}
-        assert history.latest("fleet.tick") == 7.0
+        assert history.series("fleet.tick") == [(0, 7.0)]
 
     def test_reregistering_a_source_replaces_it(self):
         history = MetricsHistory()
@@ -73,17 +73,12 @@ class TestQueries:
             history.record(tick, {"counter": 10 * tick, "gauge": 0.5})
         return history
 
-    def test_delta_is_last_minus_first_over_window(self):
+    def test_counter_delta_is_last_minus_first_over_window(self):
         history = self._filled()
-        assert history.delta("counter") == 50.0
-        assert history.delta("counter", window=3) == 20.0
-        assert history.delta("counter", window=1) == 0.0  # < 2 points
-        assert history.delta("missing") == 0.0
-
-    def test_rate_is_delta_per_tick(self):
-        history = self._filled()
-        assert history.rate("counter") == 10.0
-        assert history.rate("counter", window=4) == 10.0
+        assert history.counter_delta("counter") == 50.0
+        assert history.counter_delta("counter", window=3) == 20.0
+        assert history.counter_delta("counter", window=1) == 0.0  # < 2 points
+        assert history.counter_delta("missing") == 0.0
 
     def test_values_and_names_read_the_window(self):
         history = self._filled()
@@ -91,7 +86,7 @@ class TestQueries:
         assert history.names() == ["counter", "gauge"]
         history.clear()
         assert history.names() == []
-        assert history.latest("gauge") is None
+        assert history.series("gauge") == []
 
     def test_metric_absent_from_some_rows_skips_those_rows(self):
         history = MetricsHistory()
@@ -99,9 +94,7 @@ class TestQueries:
         history.record(1, {})  # a warmup NaN was dropped here
         history.record(2, {"x": 5.0})
         assert history.series("x") == [(0, 1.0), (2, 5.0)]
-        assert history.delta("x") == 4.0
-        # rate uses actual tick distance, not sample count
-        assert history.rate("x") == 2.0
+        assert history.counter_delta("x") == 4.0
 
 
 class TestCounterDelta:
@@ -110,8 +103,7 @@ class TestCounterDelta:
         history.record(0, {"other": 1.0})
         history.record(1, {"other": 1.0})
         history.record(2, {"other": 1.0, "drops": 3.0})
-        # delta() needs two points; counter_delta reads the 0 -> 3 appearance.
-        assert history.delta("drops", window=3) == 0.0
+        # One point only, but the 0 -> 3 appearance is an increase of 3.
         assert history.counter_delta("drops", window=3) == 3.0
 
     def test_preexisting_total_is_a_baseline_not_a_burst(self):
@@ -124,9 +116,9 @@ class TestCounterDelta:
         history.record(2, {"drops": 49.0})
         assert history.counter_delta("drops", window=2) == 2.0
 
-    def test_matches_delta_once_the_series_is_established(self):
+    def test_is_last_minus_first_once_the_series_is_established(self):
         history = MetricsHistory()
         for tick in range(5):
             history.record(tick, {"c": 10.0 * tick})
-        assert history.counter_delta("c", window=3) == history.delta("c", window=3)
+        assert history.counter_delta("c", window=3) == 20.0
         assert history.counter_delta("missing") == 0.0

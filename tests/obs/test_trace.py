@@ -154,7 +154,7 @@ class TestRingWrap:
         assert stats["spans_evicted"] == 2
         assert stats["spans_stored"] == 4
         # The two oldest traces fell off; the four freshest survive.
-        survivors = set(store.trace_ids())
+        survivors = {trace["trace_id"] for trace in store.traces()}
         assert survivors == {span.trace_id for span in spans[2:]}
 
     def test_partially_evicted_trace_still_renders(self):

@@ -13,11 +13,16 @@ def _window(value=0.0):
     return np.full((3, 2), value)
 
 
+def _put_one(batcher, value=0.0):
+    """Enqueue one request the way ``InferenceServer.submit`` does: a group of one."""
+    batcher.put_group([InferenceRequest(window=_window(value))])
+
+
 class TestMicroBatcher:
     def test_collects_queued_requests_into_one_batch(self):
         batcher = MicroBatcher(max_batch_size=8, max_wait_ms=20.0)
         for i in range(5):
-            batcher.submit(_window(i))
+            _put_one(batcher, i)
         batch = batcher.next_batch()
         assert len(batch) == 5
         assert [int(r.window[0, 0]) for r in batch] == [0, 1, 2, 3, 4]
@@ -25,14 +30,14 @@ class TestMicroBatcher:
     def test_respects_max_batch_size(self):
         batcher = MicroBatcher(max_batch_size=3, max_wait_ms=50.0)
         for i in range(7):
-            batcher.submit(_window(i))
+            _put_one(batcher, i)
         assert len(batcher.next_batch()) == 3
         assert len(batcher.next_batch()) == 3
         assert len(batcher.next_batch()) == 1
 
     def test_deadline_flushes_partial_batch(self):
         batcher = MicroBatcher(max_batch_size=100, max_wait_ms=10.0)
-        batcher.submit(_window())
+        _put_one(batcher)
         start = time.perf_counter()
         batch = batcher.next_batch()
         elapsed = time.perf_counter() - start
@@ -48,15 +53,15 @@ class TestMicroBatcher:
         batcher.close()
         assert batcher.next_batch() is None
         with pytest.raises(RuntimeError):
-            batcher.submit(_window())
+            _put_one(batcher)
 
     def test_late_submitter_joins_open_batch(self):
         batcher = MicroBatcher(max_batch_size=4, max_wait_ms=200.0)
-        batcher.submit(_window(1))
+        _put_one(batcher, 1)
 
         def late():
             time.sleep(0.02)
-            batcher.submit(_window(2))
+            _put_one(batcher, 2)
 
         thread = threading.Thread(target=late)
         thread.start()
@@ -89,14 +94,14 @@ class TestGroups:
     def test_group_rest_opens_the_next_batch_and_waits_for_more(self):
         batcher = MicroBatcher(max_batch_size=4, max_wait_ms=50.0)
         batcher.put_group(_group(range(6)))
-        batcher.submit(_window(6))
+        _put_one(batcher, 6)
         assert len(batcher.next_batch()) == 4
         # The group's last two plus the single queued behind it.
         assert [int(r.window[0, 0]) for r in batcher.next_batch()] == [4, 5, 6]
 
     def test_group_fills_a_batch_opened_by_a_single_request(self):
         batcher = MicroBatcher(max_batch_size=4, max_wait_ms=50.0)
-        batcher.submit(_window(0))
+        _put_one(batcher, 0)
         batcher.put_group(_group(range(1, 6)))
         assert [int(r.window[0, 0]) for r in batcher.next_batch()] == [0, 1, 2, 3]
         assert [int(r.window[0, 0]) for r in batcher.next_batch()] == [4, 5]
@@ -104,7 +109,7 @@ class TestGroups:
     def test_depth_counts_requests_not_queue_items(self):
         batcher = MicroBatcher(max_batch_size=4, max_wait_ms=0.0)
         batcher.put_group(_group(range(6)))
-        batcher.submit(_window(6))
+        _put_one(batcher, 6)
         assert batcher.depth == 7
         batcher.next_batch()
         assert batcher.depth == 3  # two carried from the group, one queued

@@ -1,13 +1,13 @@
-"""MicroBatcher close/submit races.
+"""MicroBatcher close/put_group races.
 
-``submit`` checks the closed flag and then enqueues; a request that loses
+``put_group`` checks the closed flag and then enqueues; a group that loses
 that race lands *behind* the shutdown sentinel.  Two mechanisms keep it
 from being dropped: ``next_batch`` re-queues a sentinel it meets mid-batch
 (pushing it behind whatever the race left after it), and the server's
 dispatcher runs a final drain pass (``poll_timeout=0.0``) after seeing the
-shutdown.  A ``submit_many`` group (one queue item) can lose the same race.
-These tests pin both paths by staging the queue exactly as the race would
-leave it.
+shutdown.  A one-window ``submit`` is a group of one and loses the race the
+same way.  These tests pin both paths by staging the queue exactly as the
+race would leave it.
 """
 
 import numpy as np
@@ -20,9 +20,13 @@ def _window(tag):
 
 
 def _race_request(tag):
-    # A submit that passed the closed check before close() set the flag
-    # enqueues the raw request after the sentinel; stage that directly.
+    # A put_group that passed the closed check before close() set the flag
+    # enqueues its list after the sentinel; stage that directly.
     return InferenceRequest(window=_window(tag))
+
+
+def _put_one(batcher, tag):
+    batcher.put_group([_race_request(tag)])
 
 
 def _tags(batch):
@@ -32,8 +36,8 @@ def _tags(batch):
 class TestMidBatchSentinel:
     def test_sentinel_met_mid_batch_is_requeued_not_swallowed(self):
         batcher = MicroBatcher(max_batch_size=8, max_wait_ms=50.0)
-        batcher.submit(_window(1))
-        batcher.submit(_window(2))
+        _put_one(batcher, 1)
+        _put_one(batcher, 2)
         batcher.close()
         # Queue: [w1, w2, Shutdown].  One batch returns both requests, the
         # sentinel is re-queued, and the next call reports closed.
@@ -42,9 +46,9 @@ class TestMidBatchSentinel:
 
     def test_request_behind_the_sentinel_survives_the_requeue(self):
         batcher = MicroBatcher(max_batch_size=8, max_wait_ms=50.0)
-        batcher.submit(_window(1))
+        _put_one(batcher, 1)
         batcher.close()
-        batcher._queue.put(_race_request(2))
+        batcher._queue.put([_race_request(2)])
         # Queue: [w1, Shutdown, w2].  The first batch stops at the sentinel
         # and re-queues it at the tail — behind the late request — so the
         # second batch still delivers w2 before shutdown is reported.
@@ -55,7 +59,7 @@ class TestMidBatchSentinel:
 
     def test_group_behind_the_sentinel_survives_the_requeue(self):
         batcher = MicroBatcher(max_batch_size=2, max_wait_ms=50.0)
-        batcher.submit(_window(1))
+        _put_one(batcher, 1)
         batcher.close()
         batcher._queue.put([_race_request(2), _race_request(3), _race_request(4)])
         # Queue: [w1, Shutdown, group(2, 3, 4)].  The sentinel is re-queued
@@ -71,7 +75,7 @@ class TestShutdownDrain:
     def test_drain_pass_recovers_request_behind_the_sentinel(self):
         batcher = MicroBatcher(max_batch_size=8, max_wait_ms=50.0)
         batcher.close()
-        batcher._queue.put(_race_request(5))
+        batcher._queue.put([_race_request(5)])
         # Queue: [Shutdown, w].  The dispatcher sees None (shutdown), then
         # its drain pass (poll_timeout=0.0) recovers the late request.
         assert batcher.next_batch(poll_timeout=0.1) is None
@@ -99,8 +103,8 @@ class TestShutdownDrain:
         batcher = MicroBatcher(max_batch_size=8, max_wait_ms=1.0)
         batcher.close()
         try:
-            batcher.submit(_window(1))
+            _put_one(batcher, 1)
         except RuntimeError as error:
             assert "closed" in str(error)
         else:
-            raise AssertionError("submit after close must raise")
+            raise AssertionError("put_group after close must raise")

@@ -3,49 +3,53 @@
 import numpy as np
 import pytest
 
-from repro.serving import PredictionCache, prediction_cache_key
+from repro.serving import SharedPredictionCache, prediction_cache_key
+
+#: The flat-LRU cases run in one namespace, where the shared cache is a
+#: plain LRU under its global budget.
+NS = "model@v1"
 
 
-class TestPredictionCache:
+class TestSharedPredictionCacheLRU:
     def test_put_get_roundtrip(self):
-        cache = PredictionCache(capacity=4)
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        assert "a" in cache and len(cache) == 1
+        cache = SharedPredictionCache(capacity=4)
+        cache.put(NS, "a", 1)
+        assert cache.get(NS, "a") == 1
+        assert cache.namespace_sizes() == {NS: 1} and len(cache) == 1
 
     def test_miss_returns_none_and_counts(self):
-        cache = PredictionCache(capacity=4)
-        assert cache.get("missing") is None
+        cache = SharedPredictionCache(capacity=4)
+        assert cache.get(NS, "missing") is None
         assert cache.stats["misses"] == 1 and cache.stats["hits"] == 0
 
     def test_lru_eviction_order(self):
-        cache = PredictionCache(capacity=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")          # refresh "a" -> "b" is now least recent
-        cache.put("c", 3)       # evicts "b"
-        assert cache.get("b") is None
-        assert cache.get("a") == 1 and cache.get("c") == 3
+        cache = SharedPredictionCache(capacity=2)
+        cache.put(NS, "a", 1)
+        cache.put(NS, "b", 2)
+        cache.get(NS, "a")          # refresh "a" -> "b" is now least recent
+        cache.put(NS, "c", 3)       # evicts "b"
+        assert cache.get(NS, "b") is None
+        assert cache.get(NS, "a") == 1 and cache.get(NS, "c") == 3
         assert cache.stats["evictions"] == 1
 
     def test_overwrite_does_not_evict(self):
-        cache = PredictionCache(capacity=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("a", 10)
+        cache = SharedPredictionCache(capacity=2)
+        cache.put(NS, "a", 1)
+        cache.put(NS, "b", 2)
+        cache.put(NS, "a", 10)
         assert len(cache) == 2
-        assert cache.get("a") == 10
+        assert cache.get(NS, "a") == 10
         assert cache.stats["evictions"] == 0
 
     def test_clear(self):
-        cache = PredictionCache(capacity=2)
-        cache.put("a", 1)
+        cache = SharedPredictionCache(capacity=2)
+        cache.put(NS, "a", 1)
         cache.clear()
         assert len(cache) == 0
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
-            PredictionCache(capacity=0)
+            SharedPredictionCache(capacity=0)
 
 
 class TestCacheKey:

@@ -1,4 +1,7 @@
-"""PredictionCache and InferenceServer under concurrent swap_model storms.
+"""The shared prediction cache and InferenceServer under concurrent hot-swap storms.
+
+A hot swap re-deploys the default deployment under a new version
+(``server.deploy(server.pool.default_name, model, version=...)``).
 
 The invariants being hammered:
 
@@ -14,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.inference import PredictionResult
-from repro.serving import InferenceServer, PredictionCache, prediction_cache_key
+from repro.serving import InferenceServer, SharedPredictionCache, prediction_cache_key
 
 SHAPE = (1, 2, 3)
 
@@ -31,9 +34,9 @@ def _constant(value):
     return predict
 
 
-class TestPredictionCacheThreaded:
+class TestSharedPredictionCacheThreaded:
     def test_stats_stay_consistent_across_threads(self):
-        cache = PredictionCache(capacity=64)
+        cache = SharedPredictionCache(capacity=64)
         num_threads, per_thread = 8, 500
         gets = [0] * num_threads
         puts = [0] * num_threads
@@ -43,10 +46,10 @@ class TestPredictionCacheThreaded:
             rng = np.random.default_rng(tid)
             try:
                 for i in range(per_thread):
-                    key = f"v{rng.integers(4)}:{rng.integers(100)}"
+                    namespace, key = f"v{rng.integers(4)}", str(rng.integers(100))
                     gets[tid] += 1
-                    if cache.get(key) is None:
-                        cache.put(key, tid * per_thread + i)
+                    if cache.get(namespace, key) is None:
+                        cache.put(namespace, key, tid * per_thread + i)
                         puts[tid] += 1
             except Exception as error:  # surfaced at the end
                 errors.append(error)
@@ -103,7 +106,9 @@ class TestServerCacheUnderSwap:
             for thread in threads:
                 thread.start()
             for generation in range(1, generations):
-                server.swap_model(_constant(generation), version=f"gen-{generation}")
+                server.deploy(
+                    server.pool.default_name, _constant(generation), version=f"gen-{generation}"
+                )
             stop.set()
             for thread in threads:
                 thread.join(timeout=30.0)
@@ -117,7 +122,7 @@ class TestServerCacheUnderSwap:
         assert final_values == {float(generations - 1)}
         # Concurrent clients only ever saw values some generation produced.
         assert set(client_results) <= {float(g) for g in range(generations)}
-        assert server.stats["models_swapped"] == generations - 1
+        assert server.model_version == f"gen-{generations - 1}"
 
     def test_eviction_stats_consistent_with_tiny_cache_during_swaps(self):
         server = InferenceServer(
@@ -127,7 +132,7 @@ class TestServerCacheUnderSwap:
         windows = self._windows(40, seed=3)
         with server:
             server.predict_many(windows, timeout=30.0)
-            server.swap_model(_constant(2), version="b")
+            server.deploy(server.pool.default_name, _constant(2), version="b")
             server.predict_many(windows, timeout=30.0)
             stats = server.stats
         cache_stats = server.cache.stats

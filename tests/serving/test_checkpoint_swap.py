@@ -95,19 +95,19 @@ class TestHotSwap:
         server = InferenceServer(self._constant_predictor(1.0), model_version="v1", cache_size=0)
         with server:
             before = server.predict_many(list(windows[:4]))
-            previous = server.swap_model(self._constant_predictor(2.0), version="v2")
+            previous = server.model_version
+            server.deploy(server.pool.default_name, self._constant_predictor(2.0), version="v2")
             after = server.predict_many(list(windows[:4]))
         assert previous == "v1"
         assert server.model_version == "v2"
         assert all(np.all(r.mean == 1.0) for r in before)
         assert all(np.all(r.mean == 2.0) for r in after)
-        assert server.stats["models_swapped"] == 1
 
     def test_swap_accepts_forecaster_objects(self, fitted_and_windows):
         forecaster, windows = fitted_and_windows
         server = InferenceServer(self._constant_predictor(0.0), model_version="v1", cache_size=0)
         with server:
-            server.swap_model(forecaster, version="v2")
+            server.deploy(server.pool.default_name, forecaster, version="v2")
             served = server.predict_many(list(windows[:3]))
         direct = forecaster.predict(windows[:3])
         assert np.array_equal(direct.mean, PredictionResult.concatenate(served).mean)
@@ -115,7 +115,7 @@ class TestHotSwap:
     def test_swap_rejects_non_predictors(self):
         server = InferenceServer(self._constant_predictor(0.0))
         with pytest.raises(TypeError, match="predict"):
-            server.swap_model(object(), version="v2")
+            server.deploy(server.pool.default_name, object(), version="v2")
 
     def test_queued_requests_survive_a_swap(self, fitted_and_windows):
         """Requests submitted before a swap all resolve; none are dropped."""
@@ -126,7 +126,7 @@ class TestHotSwap:
         )
         with server:
             futures = [server.submit(window) for window in windows[:12]]
-            server.swap_model(self._constant_predictor(2.0), version="v2")
+            server.deploy(server.pool.default_name, self._constant_predictor(2.0), version="v2")
             futures += [server.submit(window) for window in windows[12:24]]
             results = [future.result(timeout=30.0) for future in futures]
         assert len(results) == 24
@@ -146,7 +146,7 @@ class TestHotSwap:
         )
         with server:
             first = server.predict_many(list(windows[:3]))
-            server.swap_model(self._constant_predictor(2.0), version="v2")
+            server.deploy(server.pool.default_name, self._constant_predictor(2.0), version="v2")
             second = server.predict_many(list(windows[:3]))  # same inputs
         assert all(np.all(r.mean == 1.0) for r in first)
         assert all(np.all(r.mean == 2.0) for r in second)

@@ -208,7 +208,7 @@ class TestServerRouting:
         with server:
             results = server.predict_many(windows)
         assert {float(r.mean.flat[0]) for r in results} == {1.0}
-        stats = server.deployment_stats("cand")
+        stats = server.stats["deployments"]["cand"]
         assert stats["requests_served"] == 0
         assert stats["shadow_windows"] == 8
         assert stats["shadow_divergence"] == pytest.approx(4.0)

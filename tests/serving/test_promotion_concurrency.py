@@ -144,7 +144,7 @@ class TestShadowUnderLoad:
         watch.assert_acyclic()
         assert errors == []
         assert server.stats["requests_served"] == 160
-        stats = server.deployment_stats("cand")
+        stats = server.stats["deployments"]["cand"]
         assert stats["requests_served"] == 0
         assert stats["shadow_windows"] > 0
         assert stats["shadow_divergence"] == pytest.approx(8.0)

@@ -6,6 +6,7 @@ import pytest
 from repro.core.inference import PredictionResult
 from repro.metrics import Z_95, norm_ppf
 from repro.streaming import ACIConfig, AdaptiveConformalCalibrator
+from repro.streaming.aci import nonconformity
 
 
 def _result(mean, std):
@@ -159,19 +160,16 @@ class TestAlphaUpdate:
 
 
 class TestWarmStart:
-    def test_update_batch_seeds_the_buffers(self):
+    def test_update_seeds_the_buffers_from_a_validation_batch(self):
         calibrator = AdaptiveConformalCalibrator(2, min_scores=5, mode="rolling")
         rng = np.random.default_rng(5)
         result = _result(rng.normal(size=(30, 2, 4)), 2.0)
         targets = result.mean + rng.normal(size=result.mean.shape) * 2.0
-        calibrator.update_batch(result, targets)
+        scores = nonconformity(targets, result.mean, result.std)
+        for h in range(2):
+            calibrator.update(h, scores[:, h, :])
         q = calibrator.quantiles()
         assert np.all(q > 0.5) and np.all(q < 4.0)
-
-    def test_update_batch_shape_mismatch(self):
-        calibrator = AdaptiveConformalCalibrator(2)
-        with pytest.raises(ValueError):
-            calibrator.update_batch(_result(np.zeros((3, 2, 4)), 1.0), np.zeros((3, 2, 5)))
 
 
 class TestStatePersistence:

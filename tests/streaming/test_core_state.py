@@ -154,9 +154,17 @@ def _rows(steps, seed=0):
     return rows
 
 
+def _ingest(core, row):
+    """Resolve, detect and append one row, in the solo runner's order."""
+    obs, valid = core.normalize(row)
+    resolved = core.resolve(core.step, obs, valid)
+    core.detect(core.step, resolved.covered, resolved.abs_error)
+    core.append(obs, valid)
+
+
 def _drive(core, rows, model):
     for row in rows:
-        core.ingest(row)
+        _ingest(core, row)
         window = core.window()
         if window is not None:
             core.record(model.predict(window))

@@ -9,6 +9,7 @@ from repro.streaming import (
     AdaptiveConformalCalibrator,
     StreamingForecaster,
 )
+from repro.streaming.aci import nonconformity
 
 Z95 = 1.959963984540054
 HORIZON, NODES = 3, 2
@@ -26,6 +27,14 @@ def _bounded_result(mean, lower_offset, upper_offset):
         lower=lower,
         upper=upper,
     )
+
+
+def _ingest(core, row):
+    """Resolve, detect and append one row, in the solo runner's order."""
+    obs, valid = core.normalize(row)
+    resolved = core.resolve(core.step, obs, valid)
+    core.detect(core.step, resolved.covered, resolved.abs_error)
+    core.append(obs, valid)
 
 
 def _plain_result(mean, sigma=1.0):
@@ -153,23 +162,22 @@ class TestNativeCalibration:
         )
 
     def test_score_is_cqr_in_native_mode(self):
-        calibrator = AdaptiveConformalCalibrator(
-            HORIZON, config=ACIConfig(interval_mode="native")
-        )
         obs = np.array([0.0, 10.0])
         lower = np.array([1.0, 0.0])
         upper = np.array([5.0, 6.0])
-        scores = calibrator.score(obs, mean=np.zeros(2), scale=np.ones(2),
-                                  lower=lower, upper=upper)
+        scores = nonconformity(obs, mean=np.zeros(2), scale=np.ones(2),
+                               lower=lower, upper=upper, native=True)
         np.testing.assert_allclose(scores, [1.0, 4.0])
 
-    def test_update_batch_uses_cqr_scores(self):
+    def test_cqr_scores_set_the_margins(self):
         calibrator = AdaptiveConformalCalibrator(
             1, config=ACIConfig(min_scores=1, mode="rolling")
         )
         result = _bounded_result(np.zeros((5, 1, NODES)), 1.0, 1.0)
         targets = np.full((5, 1, NODES), 3.0)  # CQR score 2.0 everywhere
-        calibrator.update_batch(result, targets)
+        scores = nonconformity(targets, result.mean, result.std,
+                               result.lower, result.upper, native=True)
+        calibrator.update(0, scores[:, 0, :])
         np.testing.assert_allclose(calibrator.margins(), 2.0, atol=1e-9)
 
 
@@ -305,7 +313,7 @@ class TestRunnerIntegration:
         x = np.zeros(NODES)
         for t in range(120):
             x = x + rng.normal(0.0, 0.5, NODES)
-            core.ingest(x + rng.normal(0.0, 2.0, NODES))
+            _ingest(core, x + rng.normal(0.0, 2.0, NODES))
             window = core.window()
             if window is not None:
                 model = native if t < 60 else gaussian  # family swap mid-stream

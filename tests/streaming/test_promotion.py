@@ -169,7 +169,7 @@ class TestShadowPromotionEndToEnd:
             # ...but the response is the incumbent's (no +40 bias).
             direct = incumbent_model.predict(window[None])
             np.testing.assert_allclose(result.mean, direct.mean)
-        shadow_stats = server.deployment_stats("stream-cand1")
+        shadow_stats = server.stats["deployments"]["stream-cand1"]
         assert shadow_stats["shadow_windows"] > 0
         assert shadow_stats["requests_served"] == 0
 

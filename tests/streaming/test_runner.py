@@ -93,7 +93,10 @@ class TestRegimeShiftAcceptance:
         """Post-shift ACI intervals are ~2.5x wider than the static ones."""
         static = _run_mode(regime_shift_feed, "static")
         adaptive = _run_mode(regime_shift_feed, "aci")
-        ratio = adaptive.monitor.mean_width / static.monitor.mean_width
+        ratio = (
+            adaptive.monitor.snapshot()["mean_width"]
+            / static.monitor.snapshot()["mean_width"]
+        )
         assert 1.8 < ratio < 3.5
 
 

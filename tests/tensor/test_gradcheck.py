@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro import nn
+from repro.core.losses import heteroscedastic_gaussian_loss
 from repro.nn.module import Module
 from repro.tensor import Tensor, gradcheck
 from repro.tensor import functional as F
@@ -72,11 +73,13 @@ class TestGradcheckOps:
         a = _rand((5, 4), 7)
         assert gradcheck(lambda x: x[1:4, ::2].sum(), [a])
 
-    def test_gaussian_nll(self):
+    def test_heteroscedastic_gaussian_loss(self):
         mean = _rand((6,), 0)
         log_var = _rand((6,), 1)
         target = Tensor(np.random.default_rng(2).normal(size=6))
-        assert gradcheck(lambda m, lv: F.gaussian_nll(m, lv, target), [mean, log_var])
+        assert gradcheck(
+            lambda m, lv: heteroscedastic_gaussian_loss(m, lv, target), [mean, log_var]
+        )
 
     def test_pinball(self):
         pred = _rand((6,), 0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.losses import heteroscedastic_gaussian_loss
 from repro.tensor import Tensor
 from repro.tensor import functional as F
 
@@ -209,18 +210,18 @@ class TestLossHelpers:
         target = Tensor([0.0, 0.0])
         assert np.allclose(F.l1_loss(pred, target).item(), 1.5)
 
-    def test_gaussian_nll_known_value(self):
-        # mu = y, sigma^2 = 1  ->  nll = 0.5 log(2 pi)
-        mean = Tensor([0.0])
-        log_var = Tensor([0.0])
-        target = Tensor([0.0])
-        nll = F.gaussian_nll(mean, log_var, target)
-        assert np.allclose(nll.item(), 0.5 * np.log(2.0 * np.pi))
+    def test_heteroscedastic_gaussian_loss_known_value(self):
+        # mu = y, sigma^2 = 1  ->  log sigma^2 + 0 = 0 (log 2 pi is dropped)
+        zero = Tensor([0.0])
+        assert np.allclose(heteroscedastic_gaussian_loss(zero, zero, zero).item(), 0.0)
+        # |y - mu| = 2, sigma^2 = 4  ->  log 4 + 4 / 4
+        loss = heteroscedastic_gaussian_loss(Tensor([2.0]), Tensor([np.log(4.0)]), zero)
+        assert np.allclose(loss.item(), np.log(4.0) + 1.0)
 
-    def test_gaussian_nll_penalizes_wrong_mean(self):
+    def test_heteroscedastic_gaussian_loss_penalizes_wrong_mean(self):
         target = Tensor([0.0])
-        good = F.gaussian_nll(Tensor([0.0]), Tensor([0.0]), target).item()
-        bad = F.gaussian_nll(Tensor([3.0]), Tensor([0.0]), target).item()
+        good = heteroscedastic_gaussian_loss(Tensor([0.0]), Tensor([0.0]), target).item()
+        bad = heteroscedastic_gaussian_loss(Tensor([3.0]), Tensor([0.0]), target).item()
         assert bad > good
 
     def test_huber_quadratic_region(self):
