@@ -12,11 +12,6 @@ that, end to end, with the same realistic MC-dropout AGCRN workload as
   thermal/allocator drift from biasing one side);
 * score each mode by its *fastest* round (the classic low-noise
   estimator) and gate ``enabled / disabled - 1`` under 3 %.
-
-The enabled run's phase profile is saved too
-(``benchmarks/results/obs_tick_profile.txt``).  Its phases overlap —
-``queue_wait`` sums the waits of requests queued together — so it is not a
-wall-time breakdown of a tick; ``perfbench/run.py --trace 1`` gives that.
 """
 
 import time
@@ -30,7 +25,6 @@ from repro.data.scalers import StandardScaler
 from repro.graph import grid_network
 from repro.fleet import StreamFleet
 from repro.models.agcrn import AGCRN
-from repro.obs.profiler import profiler
 from repro.obs.slo import SLOEngine, default_slos
 from repro.serving import InferenceServer
 
@@ -85,7 +79,7 @@ def _build_fleet(predict, rows):
 
 
 def run_obs_overhead():
-    """Returns ``(disabled_s, enabled_s, overhead, profile_text, top3)``.
+    """Returns ``(disabled_s, enabled_s, overhead)``.
 
     One fleet per mode, both fed identical rows; the measured rounds
     alternate disabled-fleet / enabled-fleet so slow drift hits both.
@@ -100,7 +94,7 @@ def run_obs_overhead():
             # "Fully enabled" includes the SLO layer: every measured tick
             # samples all sources and burn-rate-evaluates the default specs
             # (the per-stream coverage wildcard fans out to 256 alerts).
-            fleets[mode].attach_slo(SLOEngine(specs=default_slos()), every=1)
+            fleets[mode].attach_slo(SLOEngine(specs=default_slos()))
         for t in range(WARMUP_TICKS):
             fleets[mode].tick({name: r[t] for name, r in rows.items()})
 
@@ -118,18 +112,16 @@ def run_obs_overhead():
                 for t in range(lo, lo + MEASURED_TICKS):
                     fleet.tick({name: r[t] for name, r in rows.items()})
                 best[mode] = min(best[mode], time.perf_counter() - start)
-        profile_text = profiler().summary()
-        top3 = profiler().top_phases(3)
     finally:
         obs.reset()
         for server in servers.values():
             server.stop()
     overhead = best["enabled"] / best["disabled"] - 1.0
-    return best["disabled"], best["enabled"], overhead, profile_text, top3
+    return best["disabled"], best["enabled"], overhead
 
 
 def test_obs_overhead(benchmark, save_result):
-    disabled_s, enabled_s, overhead, profile_text, top3 = benchmark.pedantic(
+    disabled_s, enabled_s, overhead = benchmark.pedantic(
         run_obs_overhead, rounds=1, iterations=1
     )
     per_tick = lambda seconds: seconds / MEASURED_TICKS * 1e3  # noqa: E731
@@ -148,17 +140,6 @@ def test_obs_overhead(benchmark, save_result):
         ]
     )
     save_result("obs_overhead", text)
-    profile = "\n".join(
-        [
-            f"Per-phase breakdown of a {NUM_STREAMS}-stream fleet tick "
-            f"(obs enabled, {ROUNDS * MEASURED_TICKS} measured ticks)",
-            "",
-            profile_text,
-            "",
-            f"top-3 phases by total cost: {', '.join(top3)}",
-        ]
-    )
-    save_result("obs_tick_profile", profile)
     # Acceptance gate: fully-enabled obs must stay under 3% tick overhead.
     assert overhead < GATE_OVERHEAD, (
         f"obs overhead {overhead * 100.0:.2f}% exceeds the "

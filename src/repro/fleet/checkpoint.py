@@ -4,8 +4,8 @@ A fleet checkpoint is a directory tree::
 
     <dir>/
         fleet/                      # manifest: stream identities, fleet
-            checkpoint.json         # event log, coordination counters
-            arrays.npz
+            checkpoint.json         # event log, coordination counters,
+            arrays.npz              # spatial-aggregator state
         streams/<name>/             # one shard per stream: the full
             checkpoint.json         # StreamCore state (ACI buffers,
             arrays.npz              # monitor rings, event log, step)
@@ -14,8 +14,10 @@ Every stream's adaptive-conformal buffers, rolling monitor windows and
 drift-event log round-trip **bit-identically** through the shared
 ``get_state`` / ``set_state`` array protocol, so a restarted fleet resumes
 with warm calibration and metrics on all N streams instead of re-warming
-from empty windows.  Models are *not* stored here — deployments live on the
-shared server, whose checkpointing
+from empty windows.  The manifest also carries the refit coordinator's and
+the spatial aggregator's state: a restored fleet keeps its quorum
+evidence, its incident cooldown and its incident count.  Models are *not*
+stored here — deployments live on the shared server, whose checkpointing
 (:meth:`~repro.serving.InferenceServer.from_checkpoint`,
 ``Forecaster.save``) is orthogonal; :func:`load_fleet` takes the server the
 restored fleet should run against.
@@ -54,6 +56,7 @@ def save_fleet(fleet: Any, directory: Union[str, Path]) -> Path:
         "coordinator": (
             fleet.coordinator.get_state() if fleet.coordinator is not None else None
         ),
+        "spatial": fleet.spatial.get_state() if fleet.spatial is not None else None,
     }
     save_checkpoint(directory / FLEET_SUBDIR, manifest, {})
     for name, stream in fleet.streams.items():
@@ -71,7 +74,9 @@ def load_fleet(
     ``refit_policy``, ``spatial``, ``detector_factory``, ...) — behaviour
     lives in code, state in the checkpoint.  Every stream is re-registered
     under its stored identity (name / region / node / key) and its core
-    state restored bit-identically.
+    state restored bit-identically.  The coordinator and the spatial
+    aggregator passed in get their saved state; a manifest written before
+    the aggregator was checkpointed leaves it fresh.
     """
     directory = Path(directory)
     manifest, _ = load_checkpoint(directory / FLEET_SUBDIR)
@@ -100,6 +105,8 @@ def load_fleet(
     }
     if fleet.coordinator is not None and manifest.get("coordinator") is not None:
         fleet.coordinator.set_state(manifest["coordinator"])
+    if fleet.spatial is not None and manifest.get("spatial") is not None:
+        fleet.spatial.set_state(manifest["spatial"])
     for descriptor in manifest["streams"]:
         stream = fleet.add_stream(
             descriptor["name"],

@@ -165,7 +165,6 @@ class StreamFleet:
         self._tick = 0
         self._region_deployment: Dict[str, Optional[str]] = {}
         self.slo: Optional[Any] = None
-        self._slo_every = 1
 
     # ------------------------------------------------------------------ #
     # Stream registration
@@ -540,7 +539,7 @@ class StreamFleet:
         # Phase 8 (optional) — sample metric sources and evaluate SLOs.  The
         # engine only *reads* monitor/stats state (never stream state or
         # RNGs), so an attached engine leaves fleet results bit-identical.
-        if self.slo is not None and tick_index % self._slo_every == 0:
+        if self.slo is not None:
             with obs_phase("slo_eval"):
                 self.slo.step(tick_index)
 
@@ -574,23 +573,19 @@ class StreamFleet:
     # ------------------------------------------------------------------ #
     # SLO evaluation
     # ------------------------------------------------------------------ #
-    def attach_slo(self, engine: Any, every: int = 1, sources: bool = True) -> Any:
-        """Evaluate ``engine`` at the end of every ``every``-th fleet tick.
+    def attach_slo(self, engine: Any) -> Any:
+        """Step ``engine`` at the end of every fleet tick; returns ``engine``.
 
-        The fleet owns the clock, so attaching here is what makes SLO
-        evaluation deterministic: samples land at tick indices, not wall
-        times.  With ``sources=True`` the engine's history gets this fleet
-        (``fleet.*`` monitor gauges + event counters) and its inference
-        server (``server.*`` stats) registered as metric sources; pass
-        ``False`` when the history is pre-wired.  Returns ``engine``.
+        ``engine`` is an :class:`~repro.obs.slo.SLOEngine`.  The fleet owns
+        the clock, so attaching here is what makes SLO evaluation
+        deterministic: samples land at tick indices, not wall times.  This
+        fleet (``fleet.*`` monitor gauges + event counters) and its
+        inference server (``server.*`` stats) become the engine's metric
+        sources.
         """
-        if every < 1:
-            raise ValueError("every must be >= 1")
-        if sources:
-            engine.history.add_source("fleet", fleet_source(self))
-            engine.history.add_source("server", server_source(self.server))
+        engine.add_source("fleet", fleet_source(self))
+        engine.add_source("server", server_source(self.server))
         self.slo = engine
-        self._slo_every = int(every)
         return engine
 
     # ------------------------------------------------------------------ #

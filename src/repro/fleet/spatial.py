@@ -18,7 +18,7 @@ CUSUMs), so any detector added later participates for free.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -156,6 +156,28 @@ class SpatialDriftAggregator:
             "tracked_nodes": len(self._last_breach),
             "last_fired": self._last_fired if self._last_fired is not None else -1,
         }
+
+    def get_state(self) -> Dict[str, Any]:
+        """JSON-ready breach clocks, stream names, cooldown clock and count.
+
+        Without it a restored fleet forgets its cooldown and re-fires the
+        incident it already reported, and its incident count restarts at 0.
+        JSON object keys are strings, so nodes are stored as strings.
+        """
+        return {
+            "last_breach": {str(node): int(at) for node, at in self._last_breach.items()},
+            "stream_of": {str(node): name for node, name in self._stream_of.items()},
+            "last_fired": self._last_fired,
+            "incidents": self._incidents,
+        }
+
+    def set_state(self, state: Dict[str, Any]) -> "SpatialDriftAggregator":
+        self._last_breach = {int(node): int(at) for node, at in state["last_breach"].items()}
+        self._stream_of = {int(node): str(name) for node, name in state["stream_of"].items()}
+        last_fired = state["last_fired"]
+        self._last_fired = None if last_fired is None else int(last_fired)
+        self._incidents = int(state["incidents"])
+        return self
 
     def __repr__(self) -> str:
         return (

@@ -142,8 +142,9 @@ class Gateway:
         ``GET /metrics``, and degrades ``/healthz`` to 503-with-detail
         while a page-severity alert fires; the gateway registers itself as
         the engine's ``gateway`` metrics source (request totals, per-route
-        p99).  The *evaluation* cadence stays with whoever ticks the
-        engine (usually :meth:`StreamFleet.attach_slo`).
+        p99).  Sampling and evaluation stay with whoever steps the engine
+        (usually the fleet, via :meth:`StreamFleet.attach_slo`), once per
+        tick.
     admin_token:
         Optional bearer token guarding the admin plane (``/admin/*``) and
         the live tail (``/tail``): requests must carry
@@ -179,7 +180,7 @@ class Gateway:
         self.admin_token = str(admin_token) or None
         self.metrics = GatewayMetrics()
         if slo is not None:
-            slo.history.add_source("gateway", gateway_source(self))
+            slo.add_source("gateway", gateway_source(self))
         self._fleet_lock = threading.Lock()
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None

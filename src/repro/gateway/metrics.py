@@ -544,7 +544,7 @@ def _render_slo(exp: _Exposition, engine: Any) -> None:
             count,
             {"slo": slo, "state": state},
         )
-    history_stats = engine.history.stats
+    stats = engine.stats
     exp.add(
         "repro_slo_evaluations_total",
         "counter",
@@ -554,14 +554,14 @@ def _render_slo(exp: _Exposition, engine: Any) -> None:
     exp.add(
         "repro_slo_history_samples",
         "gauge",
-        "Tick samples currently retained in the metrics history ring.",
-        history_stats["samples"],
+        "Tick samples the SLO engine currently retains for its windows.",
+        stats["samples"],
     )
     exp.add(
         "repro_slo_history_source_errors_total",
         "counter",
-        "Metric source poll failures swallowed by the history ring.",
-        history_stats["source_errors"],
+        "Metric source poll failures the SLO engine swallowed.",
+        stats["source_errors"],
     )
 
 

@@ -14,10 +14,10 @@ The serving stack's measurement plane, four instruments behind one switch:
 * **structured logging** (:mod:`repro.obs.events`) — ``obs.log_event``
   JSON records with trace-ID correlation for drift events, refit
   lifecycle, promote/rollback and chaos injections;
-* **metrics history + SLO engine** (:mod:`repro.obs.timeseries`,
-  :mod:`repro.obs.slo`) — a bounded tick-stamped ring sampling the stack's
-  counters/gauges, evaluated by declarative :class:`SLOSpec` objectives
-  with multi-window burn-rate rules into a deterministic alert lifecycle
+* **SLO engine** (:mod:`repro.obs.slo`) — samples the stack's
+  counters/gauges once per tick, keeping only the rows its longest window
+  reads, and evaluates declarative :class:`SLOSpec` objectives with
+  multi-window burn-rate rules into a deterministic alert lifecycle
   (pending → firing → resolved) served by ``GET /alerts``, ``/metrics``
   ``ALERTS`` families and the ``GET /tail`` live event stream.
 
@@ -69,7 +69,6 @@ from repro.obs.slo import (
     gateway_source,
     server_source,
 )
-from repro.obs.timeseries import MetricsHistory
 from repro.obs.trace import (
     NOOP_SPAN,
     Span,
@@ -87,7 +86,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "Alert",
-    "MetricsHistory",
     "PHASES",
     "PhaseProfiler",
     "SLOEngine",

@@ -120,9 +120,12 @@ def log_event(kind: str, message: str = "", **fields: Any) -> Optional[Dict[str,
 
 def recent_events(limit: int = 100) -> List[Dict[str, Any]]:
     """The most recent ``limit`` event records, oldest first."""
+    limit = int(limit)
+    if limit <= 0:
+        return []
     with _lock:
         events = [record for _, record in _ring]
-    return events[-max(int(limit), 0):]
+    return events[-limit:]
 
 
 def events_since(

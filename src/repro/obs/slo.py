@@ -1,13 +1,22 @@
 """SLO engine: declarative objectives, burn-rate evaluation, alert lifecycle.
 
-PR 8 made the stack measurable; this module makes it *self-aware*.  A
-:class:`SLOSpec` declares one service-level objective over metrics recorded
-in a :class:`~repro.obs.timeseries.MetricsHistory` — availability ratios,
-latency/coverage bounds, zero-drop counters — and the :class:`SLOEngine`
-evaluates every spec each tick with the classic **multi-window burn-rate
-rule**: the fraction of the error budget being consumed must exceed the
-threshold over *both* a long window (statistical confidence) and a short
-window (fast reset once the incident ends) before an alert moves.
+A :class:`SLOSpec` declares one service-level objective over sampled
+metrics — availability ratios, latency/coverage bounds, zero-drop
+counters — and the :class:`SLOEngine` evaluates every spec each tick with
+the classic **multi-window burn-rate rule**: the fraction of the error
+budget being consumed must exceed the threshold over *both* a long window
+(statistical confidence) and a short window (fast reset once the incident
+ends) before an alert moves.
+
+The engine samples its own inputs.  Named *sources* (zero-argument
+callables returning flat ``{metric: number}`` dicts: :func:`fleet_source`,
+:func:`server_source`, :func:`gateway_source`) are polled once per
+:meth:`SLOEngine.step`, and each poll becomes one ``(tick, {series: value})``
+row.  The engine keeps only as many rows as its longest ``long_window``
+reads, so memory stays bounded by what the objectives need however long
+the service runs.  Non-finite values are dropped at the door: NaN warm-up
+gauges never enter a window, so the burn rates (and the metric families
+rendered from them) stay NaN-free.
 
 Alert lifecycle is a deterministic state machine driven purely by tick
 indices and sampled values — no wall clock, no RNG — so a fixed-seed chaos
@@ -33,21 +42,32 @@ rate formula (``bad_fraction / (1 - target)``) covers them:
 * ``zero`` — a cumulative counter must not increase at all (drops): any
   windowed increase is a bad fraction of 1.0.
 
+A counter's windowed increase is its last minus its first value in the
+window, except that a series which appears mid-window counts up from 0:
+per-kind event counters only exist once the first event of that kind
+lands, and that first increment is the one a drop alert must see.
+
 ``metric`` may contain ``*`` wildcards (``fleet.stream.*.coverage``); the
-engine expands them against the recorded metric names, one independent
+engine expands them against the most recent row's series, one independent
 alert per concrete series.
 """
 
 from __future__ import annotations
 
 import fnmatch
+import math
 import threading
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.events import log_event
-from repro.obs.timeseries import MetricsHistory
+
+#: A metrics source: zero-argument callable returning ``{metric: number}``.
+MetricSource = Callable[[], Mapping[str, Any]]
+
+#: One sample: the tick it was taken at and its finite ``{series: value}``.
+Row = Tuple[int, Dict[str, float]]
 
 __all__ = [
     "Alert",
@@ -69,6 +89,26 @@ SLO_KINDS = ("ratio", "upper", "lower", "zero")
 SEVERITIES = ("ticket", "page")
 
 
+def _counter_delta(rows: Sequence[Row], metric: str) -> float:
+    """How much a cumulative counter rose over ``rows`` (one window).
+
+    Last minus first value (0.0 with fewer than 2 points), except that a
+    series which appears mid-window counts up from 0: rows sampled *before*
+    its first point read as implicit zeros, so the 0 -> N appearance is an
+    increase of N.  Only rows that exist without the metric count that way;
+    a cumulative total already present in the first row ever sampled (an
+    engine attached to a long-lived process) is a baseline, not a burst.
+    """
+    points = [(tick, row[metric]) for tick, row in rows if metric in row]
+    if not points:
+        return 0.0
+    if rows[0][0] < points[0][0]:
+        return points[-1][1]  # sprang into existence mid-window
+    if len(points) < 2:
+        return 0.0
+    return points[-1][1] - points[0][1]
+
+
 @dataclass(frozen=True)
 class SLOSpec:
     """One declarative service-level objective.
@@ -84,13 +124,16 @@ class SLOSpec:
         ``1 - target``.  ``target=0.95`` tolerates 5 % bad samples.
     metric:
         Series name for ``upper`` / ``lower`` / ``zero`` kinds; ``*``
-        wildcards expand against recorded names, one alert per match.
+        wildcards expand against the latest sample's series, one alert per
+        match.
     good, total:
         Cumulative counter names for the ``ratio`` kind.
     bound:
         The gauge bound for ``upper`` / ``lower`` kinds.
     long_window, short_window:
-        Burn-rate windows in *samples* (= ticks at the default cadence).
+        Burn-rate windows in *samples* (one per engine step).  ``ratio``
+        and ``zero`` specs read counter deltas, which need two samples, so
+        their ``short_window`` must be at least 2.
     burn_threshold:
         Budget-consumption multiple both windows must exceed to breach;
         1.0 means "burning budget exactly at the sustainable rate".
@@ -130,6 +173,12 @@ class SLOSpec:
                 "windows must satisfy 1 <= short_window <= long_window and "
                 "long_window >= 2"
             )
+        if self.kind in ("ratio", "zero") and self.short_window < 2:
+            raise ValueError(
+                f"{self.kind} specs need short_window >= 2: a counter's "
+                "delta over one sample is always 0, so the spec could never "
+                "breach"
+            )
         if self.burn_threshold <= 0.0 or self.for_ticks < 0:
             raise ValueError("burn_threshold must be > 0 and for_ticks >= 0")
         if self.kind == "ratio":
@@ -166,21 +215,20 @@ class SLOSpec:
     # ------------------------------------------------------------------ #
     # Evaluation primitives
     # ------------------------------------------------------------------ #
-    def bad_fraction(
-        self, history: MetricsHistory, series: str, window: int
-    ) -> float:
-        """The objective's bad fraction over the last ``window`` samples."""
+    def bad_fraction(self, rows: Sequence[Row], series: str, window: int) -> float:
+        """The objective's bad fraction over the last ``window`` of ``rows``."""
+        recent = rows[-window:]
         if self.kind == "ratio":
-            total = history.counter_delta(self.total, window)
+            total = _counter_delta(recent, self.total)
             if total <= 0.0:
                 return 0.0  # no traffic burns no budget
-            good = history.counter_delta(self.good, window)
+            good = _counter_delta(recent, self.good)
             return min(max(1.0 - good / total, 0.0), 1.0)
         if self.kind == "zero":
             # The first event of a kind *creates* its series, and
-            # counter_delta reads that 0 -> N appearance as a breach.
-            return 1.0 if history.counter_delta(series, window) > 0.0 else 0.0
-        values = history.values(series, window)
+            # _counter_delta reads that 0 -> N appearance as a breach.
+            return 1.0 if _counter_delta(recent, series) > 0.0 else 0.0
+        values = [row[series] for _, row in recent if series in row]
         if not values:
             return 0.0
         if self.kind == "upper":
@@ -189,19 +237,19 @@ class SLOSpec:
             bad = sum(1 for value in values if value < self.bound)
         return bad / len(values)
 
-    def burn_rate(
-        self, history: MetricsHistory, series: str, window: int
-    ) -> float:
+    def burn_rate(self, rows: Sequence[Row], series: str, window: int) -> float:
         """Error-budget consumption multiple over ``window`` samples."""
-        return self.bad_fraction(history, series, window) / self.budget
+        return self.bad_fraction(rows, series, window) / self.budget
 
-    def expand(self, history: MetricsHistory) -> List[str]:
+    def expand(self, rows: Sequence[Row]) -> List[str]:
         """Concrete series names this spec currently evaluates over."""
         if self.kind == "ratio":
             return [self.name]  # counters are named explicitly; one series
         if "*" not in self.metric and "?" not in self.metric:
             return [self.metric]
-        return sorted(fnmatch.filter(history.names(), self.metric))
+        if not rows:
+            return []
+        return sorted(fnmatch.filter(rows[-1][1], self.metric))
 
 
 class Alert:
@@ -278,25 +326,32 @@ class Alert:
 
 
 class SLOEngine:
-    """Evaluates :class:`SLOSpec` objectives over a metrics history.
+    """Samples metric sources and evaluates :class:`SLOSpec` objectives.
 
-    One engine owns one :class:`MetricsHistory`; :meth:`step` is the whole
-    per-tick API — sample every source, evaluate every spec, move every
-    alert, emit one ``slo.alert_*`` event per transition.  Everything is
-    thread-safe (the gateway's read surfaces race the fleet's tick thread)
-    and deterministic given the sampled values.
+    :meth:`step` is the whole per-tick API — poll every source into one
+    row, evaluate every spec over the retained rows, move every alert, emit
+    one ``slo.alert_*`` event per transition.  Everything is thread-safe
+    (the gateway's read surfaces race the fleet's tick thread) and
+    deterministic given the sampled values.
+
+    The engine keeps the most recent rows up to the longest ``long_window``
+    among its specs; :meth:`add_spec` deepens that store when a longer
+    window arrives.  A spec added after sampling has started therefore
+    reads only the rows kept so far, and its first evaluations see short
+    windows until the store fills.
     """
 
     def __init__(
         self,
         specs: Sequence[SLOSpec] = (),
-        history: Optional[MetricsHistory] = None,
         transition_history: int = 256,
     ) -> None:
         if transition_history < 1:
             raise ValueError("transition_history must be >= 1")
-        self.history = history if history is not None else MetricsHistory()
         self._lock = threading.Lock()
+        self._sources: Dict[str, MetricSource] = {}
+        self._rows: deque = deque(maxlen=0)  # Row; depth = longest long_window
+        self._source_errors = 0
         self._specs: Dict[str, SLOSpec] = {}
         self._alerts: Dict[Tuple[str, str], Alert] = {}
         self._transitions: deque = deque(maxlen=int(transition_history))
@@ -307,15 +362,29 @@ class SLOEngine:
             self.add_spec(spec)
 
     # ------------------------------------------------------------------ #
-    # Spec registry
+    # Sources and specs
     # ------------------------------------------------------------------ #
+    def add_source(self, name: str, source: MetricSource) -> None:
+        """Register ``source`` under ``name`` (its metrics get ``name.`` prefixes).
+
+        Registering a name again replaces its source — the idempotent
+        shape attach/restart paths need.
+        """
+        if not callable(source):
+            raise TypeError(f"source {name!r} is not callable")
+        with self._lock:
+            self._sources[str(name)] = source
+
     def add_spec(self, spec: SLOSpec) -> None:
+        """Register ``spec``; a longer ``long_window`` deepens the row store."""
         if not isinstance(spec, SLOSpec):
             raise TypeError(f"expected an SLOSpec, got {type(spec).__name__}")
         with self._lock:
             if spec.name in self._specs:
                 raise ValueError(f"an SLO named {spec.name!r} already exists")
             self._specs[spec.name] = spec
+            if spec.long_window > self._rows.maxlen:
+                self._rows = deque(self._rows, maxlen=spec.long_window)
 
     def specs(self) -> List[SLOSpec]:
         with self._lock:
@@ -324,27 +393,53 @@ class SLOEngine:
     # ------------------------------------------------------------------ #
     # Evaluation
     # ------------------------------------------------------------------ #
+    def _sample(self, tick: int) -> List[Row]:
+        """Poll every source into one row at ``tick``; returns the kept rows.
+
+        Sources are polled outside the lock.  A raising source contributes
+        nothing to the row (counted as ``source_errors`` in :attr:`stats`)
+        — one broken stats provider must not take the engine down — and
+        values that are not finite numbers are skipped.
+        """
+        with self._lock:
+            sources = list(self._sources.items())
+        values: Dict[str, float] = {}
+        errors = 0
+        for name, source in sources:
+            try:
+                metrics = source()
+            except Exception:
+                errors += 1
+                continue
+            for key, raw in metrics.items():
+                try:
+                    value = float(raw)
+                except (TypeError, ValueError):
+                    continue
+                if math.isfinite(value):
+                    values[f"{name}.{key}"] = value
+        with self._lock:
+            self._rows.append((tick, values))
+            self._source_errors += errors
+            return list(self._rows)
+
     def step(self, tick: int) -> List[Dict[str, Any]]:
-        """Sample all sources at ``tick``, then evaluate; the per-tick call."""
-        self.history.sample(tick)
-        return self.evaluate(tick)
+        """Sample all sources at ``tick``, then evaluate every spec.
 
-    def evaluate(self, tick: int) -> List[Dict[str, Any]]:
-        """Evaluate every spec against the current history.
-
-        Returns the transition records performed this evaluation (also
-        retained in :meth:`transitions` and emitted as structured events).
+        Returns the transition records performed this step (also retained
+        in :meth:`transitions` and emitted as structured events).
         """
         tick = int(tick)
+        rows = self._sample(tick)
         performed: List[Dict[str, Any]] = []
         with self._lock:
             specs = list(self._specs.values())
             self._evaluations += 1
             self._last_tick = tick
         for spec in specs:
-            for series in spec.expand(self.history):
-                burn_long = spec.burn_rate(self.history, series, spec.long_window)
-                burn_short = spec.burn_rate(self.history, series, spec.short_window)
+            for series in spec.expand(rows):
+                burn_long = spec.burn_rate(rows, series, spec.long_window)
+                burn_short = spec.burn_rate(rows, series, spec.short_window)
                 breached = (
                     burn_long >= spec.burn_threshold
                     and burn_short >= spec.burn_threshold
@@ -409,15 +504,29 @@ class SLOEngine:
 
     def transitions(self, limit: int = 100) -> List[Dict[str, Any]]:
         """The most recent transition records, oldest first."""
+        limit = int(limit)
+        if limit <= 0:
+            return []
         with self._lock:
-            records = list(self._transitions)
-        return records[-max(int(limit), 0):]
+            return list(self._transitions)[-limit:]
 
     @property
     def evaluations(self) -> int:
         """Evaluation passes completed (monotonic counter)."""
         with self._lock:
             return self._evaluations
+
+    @property
+    def stats(self) -> Dict[str, int]:
+        """Sample store counters; ``capacity`` is the longest ``long_window``."""
+        with self._lock:
+            return {
+                "samples": len(self._rows),
+                "capacity": self._rows.maxlen,
+                "sources": len(self._sources),
+                "source_errors": self._source_errors,
+                "last_tick": self._rows[-1][0] if self._rows else -1,
+            }
 
     def transition_counts(self) -> Dict[Tuple[str, str], int]:
         """Monotonic ``(slo, state) -> transitions`` counters (metrics feed)."""
@@ -436,7 +545,7 @@ class SLOEngine:
             "alerts": [alert.to_dict() for alert in self.alerts()],
             "firing": [alert.to_dict() for alert in self.firing()],
             "transitions": self.transitions(),
-            "history": self.history.stats,
+            "history": self.stats,
         }
 
     def __repr__(self) -> str:

@@ -255,8 +255,11 @@ class TraceStore:
         the ring (or was never recorded) surface as extra roots under a
         synthetic top-level list, so a partially evicted trace still renders.
         """
+        limit = int(limit)
+        if limit <= 0:
+            return []
         with self._lock:
-            recent = list(self._spans.items())[-max(int(limit), 0):]
+            recent = list(self._spans.items())[-limit:]
             recent = [(trace_id, list(spans)) for trace_id, spans in recent]
         out: List[Dict[str, Any]] = []
         for trace_id, spans in reversed(recent):  # freshest first

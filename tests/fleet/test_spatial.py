@@ -1,5 +1,7 @@
 """Spatial drift aggregation: correlated breaches → one incident event."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from repro.data import StreamingTrafficFeed
 from repro.data.synthetic import SyntheticTrafficConfig
 from repro.graph import grid_network
 from repro.serving import InferenceServer, KeyRouter
-from repro.streaming import DriftEvent, ErrorCusumDetector
+from repro.streaming import DriftEvent, ErrorCusumDetector, PersistenceForecaster
 from repro.fleet import SpatialDriftAggregator, StreamFleet
 
 
@@ -75,6 +77,102 @@ class TestAggregatorUnit:
         aggregator = SpatialDriftAggregator(adjacency, window=10, min_cluster=1)
         with pytest.raises(IndexError):
             aggregator.observe(99, "s99", _breach(0), 0)
+
+
+def _line(nodes):
+    """Adjacency of ``nodes`` corridors in a row: 0 - 1 - 2 - ..."""
+    adjacency = np.zeros((nodes, nodes))
+    for node in range(nodes - 1):
+        adjacency[node, node + 1] = adjacency[node + 1, node] = 1.0
+    return adjacency
+
+
+class _StepDetector:
+    """Fires a ``sensor_fault`` at fixed stream steps; stateless."""
+
+    kind = "sensor_fault"
+    signal = "abs_error"
+
+    def __init__(self, steps):
+        self.steps = set(steps)
+
+    def update(self, step, value):
+        if step not in self.steps:
+            return None
+        return DriftEvent(kind=self.kind, step=step, value=1.0, threshold=0.0)
+
+    def reset(self):
+        pass
+
+
+class TestAggregatorCheckpoint:
+    """The aggregator's clocks and count survive a fleet save and restore."""
+
+    def test_state_round_trips_through_json_with_int_nodes(self):
+        aggregator = SpatialDriftAggregator(_line(4), window=10, min_cluster=2, cooldown=5)
+        aggregator.observe(1, "s1", _breach(3), 3)
+        aggregator.observe(2, "s2", _breach(4), 4)
+        aggregator.observe(3, "s3", [], 4)
+        assert aggregator.poll(4) is not None
+
+        restored = SpatialDriftAggregator(_line(4), window=10, min_cluster=2, cooldown=5)
+        restored.set_state(json.loads(json.dumps(aggregator.get_state())))
+        assert restored._last_breach == {1: 3, 2: 4}
+        assert restored._stream_of == {1: "s1", 2: "s2", 3: "s3"}
+        assert restored._last_fired == 4
+        assert restored.incidents == 1
+        assert restored.get_state() == aggregator.get_state()
+
+    @staticmethod
+    def _incidents(restart_at=None, tmp_path=None, ticks=24):
+        """4 streams on a line, all faulting at steps 10 and 18, cooldown 20."""
+        rows = 50.0 + np.random.default_rng(0).normal(size=(ticks, 4, 2))
+
+        def options():
+            return dict(
+                detector_factory=lambda: [_StepDetector({10, 18})],
+                spatial=SpatialDriftAggregator(
+                    _line(4), window=3, min_cluster=3, cooldown=20,
+                    watch_kinds=("sensor_fault",),
+                ),
+            )
+
+        server = InferenceServer(max_batch_size=8, max_wait_ms=1.0, cache_size=0)
+        server.deploy("persist", PersistenceForecaster(horizon=2, sigma=1.0))
+        with server:
+            fleet = StreamFleet(server, 3, 2, **options())
+            for node in range(4):
+                fleet.add_stream(f"c{node}", node=node)
+            for tick in range(ticks):
+                if tick == restart_at:
+                    fleet.save(tmp_path / "ckpt")
+                    fleet = StreamFleet.load(tmp_path / "ckpt", server, **options())
+                fleet.tick({f"c{node}": rows[tick, node] for node in range(4)})
+        steps = [e.step for e in fleet.event_log if e.kind == "spatial_incident"]
+        return steps, fleet.spatial.incidents
+
+    def test_restore_inside_the_cooldown_does_not_refire(self, tmp_path):
+        assert self._incidents() == ([10], 1)
+        # Saved and restored at tick 14, between the two faults: the
+        # restored aggregator still cools down from tick 10, and its
+        # incident count (repro_fleet_spatial_incidents_total) carries on.
+        assert self._incidents(restart_at=14, tmp_path=tmp_path) == ([10], 1)
+
+    def test_manifest_without_spatial_state_restores_a_fresh_aggregator(self, tmp_path):
+        self._incidents(restart_at=14, tmp_path=tmp_path)
+        manifest_path = tmp_path / "ckpt" / "fleet" / "checkpoint.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["spatial"]["incidents"] == 1
+        del manifest["spatial"]
+        manifest_path.write_text(json.dumps(manifest))
+        with InferenceServer(cache_size=0) as server:
+            fleet = StreamFleet.load(
+                tmp_path / "ckpt", server,
+                spatial=SpatialDriftAggregator(_line(4), window=3, min_cluster=3),
+            )
+        assert fleet.spatial.get_state() == {
+            "last_breach": {}, "stream_of": {}, "last_fired": None, "incidents": 0,
+        }
 
 
 HISTORY, HORIZON = 6, 2

@@ -81,6 +81,16 @@ class TestTraceSurface:
         assert status == 400
         assert "limit" in body["error"]["message"]
 
+    def test_trace_limit_zero_returns_no_traces(self, make_gateway):
+        obs.configure(enabled=True, seed=0, log_sink=False)
+        gateway = make_gateway()
+        assert _predict_once(gateway)[0] == 200
+        status, body, _ = http_call(gateway.url, "GET", "/trace?limit=1")
+        assert status == 200 and len(body["traces"]) == 1
+        status, body, _ = http_call(gateway.url, "GET", "/trace?limit=0")
+        assert status == 200
+        assert body["traces"] == []
+
     def test_admin_requests_trace_too(self, make_gateway):
         obs.configure(enabled=True, seed=0, log_sink=False)
         gateway = make_gateway()

@@ -48,6 +48,14 @@ class TestRecords:
         tail = recent_events(limit=2)
         assert [record["index"] for record in tail] == [3, 4]
 
+    def test_recent_events_limit_zero_returns_nothing(self):
+        configure_logging(enabled=True, sink=False)
+        for index in range(5):
+            log_event("k", index=index)
+        assert recent_events(limit=0) == []
+        assert recent_events(limit=-3) == []
+        assert len(recent_events(limit=5)) == 5
+
     def test_ring_is_bounded(self):
         configure_logging(enabled=True, sink=False, ring_size=3)
         for index in range(10):

@@ -157,6 +157,21 @@ class TestRingWrap:
         survivors = {trace["trace_id"] for trace in store.traces()}
         assert survivors == {span.trace_id for span in spans[2:]}
 
+    def test_limit_keeps_the_freshest_and_zero_returns_nothing(self):
+        store = TraceStore(capacity=8)
+        configure_tracing(enabled=True, seed=0, capacity=64)
+        spans = []
+        for index in range(3):
+            with start_trace(f"t{index}") as span:
+                pass
+            spans.append(span)
+            store.add(span)
+        assert [t["trace_id"] for t in store.traces(limit=2)] == [
+            spans[2].trace_id, spans[1].trace_id,
+        ]
+        assert store.traces(limit=0) == []
+        assert store.traces(limit=-1) == []
+
     def test_partially_evicted_trace_still_renders(self):
         store = TraceStore(capacity=2)
         configure_tracing(enabled=True, seed=0, capacity=64)
