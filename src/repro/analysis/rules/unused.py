@@ -10,13 +10,16 @@
 
 A code identifier is a name, an attribute or an imported name (``foo``
 in ``foo(...)``, ``x.foo`` or ``from m import foo``), never a string or a
-comment, so a package re-export keeps a symbol alive.  Classes decorated
-with a ``@register``-style decorator count as used, since their registry
-reaches them by key.  Matching is by bare name, not by type, so any ``x.update``
-keeps every ``update`` method alive: the rule under-reports rather than
-guess types.  A symbol kept on purpose (a ``threading.Lock`` protocol
-method, an instrument for test suites, a documented user entry point)
-carries ``# repro: noqa[unused/symbol]`` and a reason on its ``def`` line.
+comment.  A ``from ... import`` inside a package ``__init__.py`` is a
+re-export, not a use, so it keeps nothing alive (nor does ``__all__``, a
+list of strings); a name the ``__init__`` uses in its own code still
+counts.  Classes decorated with a ``@register``-style decorator count as
+used, since their registry reaches them by key.  Matching is by bare name,
+not by type, so any ``x.update`` keeps every ``update`` method alive: the
+rule under-reports rather than guess types.  A symbol kept on purpose (a
+``threading.Lock`` protocol method, a reference tests compare against, an
+instrument the test suites drive, a documented user entry point) carries
+``# repro: noqa[unused/symbol]`` and a reason on its ``def`` line.
 """
 
 from __future__ import annotations
@@ -42,13 +45,13 @@ _Definition = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef]
 _Index = Dict[str, List[Tuple[str, int]]]
 
 
-def _identifiers(tree: ast.AST) -> Iterable[Tuple[str, int]]:
+def _identifiers(tree: ast.AST, package_init: bool) -> Iterable[Tuple[str, int]]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.end_lineno or node.lineno
-        elif isinstance(node, ast.ImportFrom):
+        elif isinstance(node, ast.ImportFrom) and not package_init:
             for alias in node.names:
                 yield alias.name, node.lineno
 
@@ -62,7 +65,7 @@ def _build_index(root: Path) -> _Index:
         except (SyntaxError, UnicodeDecodeError, OSError):
             continue
         relpath = path.resolve().relative_to(root.resolve()).as_posix()
-        for name, line in _identifiers(tree):
+        for name, line in _identifiers(tree, path.name == "__init__.py"):
             index[name].append((relpath, line))
     return index
 

@@ -21,7 +21,7 @@ from repro.data.pems import (
     load_pems,
 )
 from repro.data.datasets import SlidingWindowDataset, TrafficData, train_val_test_split
-from repro.data.scalers import MinMaxScaler, StandardScaler
+from repro.data.scalers import StandardScaler
 from repro.data.dataloader import DataLoader
 
 __all__ = [
@@ -37,6 +37,5 @@ __all__ = [
     "SlidingWindowDataset",
     "train_val_test_split",
     "StandardScaler",
-    "MinMaxScaler",
     "DataLoader",
 ]

@@ -47,31 +47,3 @@ class StandardScaler:
         """Map variances from scaled space back to data space."""
         self._check_fitted()
         return np.asarray(var, dtype=np.float64) * (self.std_ ** 2)
-
-
-class MinMaxScaler:
-    """Scale values into ``[0, 1]`` based on the fitted minimum and maximum."""
-
-    def __init__(self) -> None:
-        self.min_: Optional[float] = None
-        self.max_: Optional[float] = None
-
-    def fit(self, values: np.ndarray) -> "MinMaxScaler":
-        values = np.asarray(values, dtype=np.float64)
-        self.min_ = float(values.min())
-        self.max_ = float(values.max())
-        if self.max_ - self.min_ < 1e-12:
-            self.max_ = self.min_ + 1.0
-        return self
-
-    def _check_fitted(self) -> None:
-        if self.min_ is None or self.max_ is None:
-            raise RuntimeError("scaler must be fitted before use")
-
-    def transform(self, values: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        return (np.asarray(values, dtype=np.float64) - self.min_) / (self.max_ - self.min_)
-
-    def inverse_transform(self, values: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        return np.asarray(values, dtype=np.float64) * (self.max_ - self.min_) + self.min_

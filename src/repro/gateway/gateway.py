@@ -224,7 +224,12 @@ class Gateway:
             return self._inflight
 
     def start(self, port: int = 0) -> "Gateway":
-        """Bind and serve on a background thread; ``port=0`` = ephemeral."""
+        """Bind and serve on a background thread; ``port=0`` = ephemeral.
+
+        A gateway restarts after ``stop(stop_server=False)`` only: the default
+        ``stop()`` also stops the inference server, which cannot start again,
+        so this raises ``RuntimeError`` and a new server is needed.
+        """
         if self._httpd is not None:
             return self
         if hasattr(self.server, "start"):

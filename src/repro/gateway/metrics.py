@@ -30,7 +30,7 @@ from collections import Counter, deque
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.events import events_emitted
-from repro.obs.profiler import profiler, profiling_enabled
+from repro.obs.profiler import nearest_rank, profiler, profiling_enabled
 from repro.obs.trace import trace_store, tracing_enabled
 
 __all__ = ["GatewayMetrics", "render_prometheus", "parse_prometheus_text"]
@@ -106,15 +106,8 @@ class GatewayMetrics:
 
     def quantile(self, route: str, q: float) -> float:
         """Rolling-window latency quantile (seconds; NaN with no samples)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must lie in [0, 1]")
         with self._lock:
-            ring = self._latencies.get(route)
-            samples = sorted(ring) if ring else []
-        if not samples:
-            return float("nan")
-        index = min(int(math.ceil(q * len(samples))) - 1, len(samples) - 1)
-        return float(samples[max(index, 0)])
+            return nearest_rank(self._latencies.get(route, ()), q)
 
     @property
     def uptime_seconds(self) -> float:

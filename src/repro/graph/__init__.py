@@ -17,7 +17,6 @@ from repro.graph.generators import (
 from repro.graph.adjacency import (
     chebyshev_polynomials,
     diffusion_supports,
-    gaussian_kernel_adjacency,
     gcn_support,
     normalized_laplacian,
     random_walk_matrix,
@@ -38,5 +37,4 @@ __all__ = [
     "random_walk_matrix",
     "chebyshev_polynomials",
     "diffusion_supports",
-    "gaussian_kernel_adjacency",
 ]

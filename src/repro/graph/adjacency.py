@@ -87,26 +87,3 @@ def diffusion_supports(adjacency: np.ndarray) -> List[np.ndarray]:
     """Forward and backward random-walk supports used by DCRNN."""
     adjacency = _validate_square(adjacency)
     return [random_walk_matrix(adjacency), random_walk_matrix(adjacency.T)]
-
-
-def gaussian_kernel_adjacency(
-    distances: np.ndarray, threshold: float = 0.1, sigma: float = None
-) -> np.ndarray:
-    """Thresholded Gaussian kernel adjacency from pairwise distances.
-
-    This mirrors how the DCRNN/STGCN papers build weighted adjacency from
-    road distances: ``A_ij = exp(-d_ij^2 / sigma^2)`` when above ``threshold``.
-    """
-    distances = np.asarray(distances, dtype=np.float64)
-    if distances.ndim != 2 or distances.shape[0] != distances.shape[1]:
-        raise ValueError("distances must be a square matrix")
-    finite = distances[np.isfinite(distances)]
-    if sigma is None:
-        sigma = float(finite.std()) if finite.size else 1.0
-    if sigma <= 0:
-        sigma = 1.0
-    weights = np.exp(-np.square(distances / sigma))
-    weights[~np.isfinite(distances)] = 0.0
-    weights[weights < threshold] = 0.0
-    np.fill_diagonal(weights, 0.0)
-    return weights

@@ -17,7 +17,9 @@ import numpy as np
 from repro.graph.road_network import RoadNetwork
 
 
-def ring_network(num_nodes: int, name: str = "ring") -> RoadNetwork:
+def ring_network(  # repro: noqa[unused/symbol] test network for tests/data and tests/graph
+    num_nodes: int, name: str = "ring"
+) -> RoadNetwork:
     """A simple ring: every sensor connected to its two neighbours."""
     if num_nodes < 3:
         raise ValueError("a ring needs at least 3 nodes")
@@ -87,6 +89,11 @@ def pems_like_network(
     min_edges = num_nodes // 2  # keep things road-like even for tiny budgets
     if num_edges < min_edges:
         raise ValueError(f"num_edges={num_edges} too small for {num_nodes} nodes")
+    max_edges = num_nodes * (num_nodes - 1) // 2  # the complete graph
+    if num_edges > max_edges:
+        raise ValueError(
+            f"num_edges={num_edges} exceeds the {max_edges} node pairs of {num_nodes} nodes"
+        )
     rng = np.random.default_rng(seed)
 
     # Choose a corridor count so corridors alone stay within the edge budget.

@@ -3,15 +3,13 @@
 Point metrics (paper Section V-D1): MAE, RMSE, MAPE.
 Uncertainty metrics (Section V-D2): mean negative log-likelihood (MNLL),
 prediction-interval coverage probability (PICP) and mean prediction-interval
-width (MPIW), plus a few auxiliary scores (Winkler / interval score,
-coverage-width criterion) used by the extension benchmarks.
+width (MPIW), plus the Winkler interval score.
 """
 
 from repro.metrics.point import mae, mape, point_metrics, rmse
 from repro.metrics.uncertainty import (
     Z_95,
     conformal_quantile_level,
-    coverage_width_criterion,
     interval_bounds,
     mnll,
     mpiw,
@@ -35,7 +33,6 @@ __all__ = [
     "conformal_quantile_level",
     "interval_bounds",
     "winkler_score",
-    "coverage_width_criterion",
     "uncertainty_metrics",
     "per_horizon_metrics",
     "per_horizon_uncertainty",

@@ -163,7 +163,7 @@ def mpiw(lower: np.ndarray, upper: np.ndarray) -> float:
     return float(np.mean(upper - lower))
 
 
-def winkler_score(
+def winkler_score(  # repro: noqa[unused/symbol] reference for tests/streaming/test_monitor_drift.py
     target: np.ndarray, lower: np.ndarray, upper: np.ndarray, significance: float = 0.05
 ) -> float:
     """Winkler / interval score: width plus a penalty for missed coverage.
@@ -175,20 +175,6 @@ def winkler_score(
     below = (lower - target) * (target < lower)
     above = (target - upper) * (target > upper)
     return float(np.mean(width + (2.0 / significance) * (below + above)))
-
-
-def coverage_width_criterion(
-    target: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    nominal: float = 95.0,
-    eta: float = 10.0,
-) -> float:
-    """Coverage-width criterion: MPIW inflated when PICP misses the nominal level."""
-    coverage = picp(target, lower, upper)
-    width = mpiw(lower, upper)
-    penalty = np.exp(-eta * (coverage - nominal) / 100.0) if coverage < nominal else 0.0
-    return float(width * (1.0 + penalty))
 
 
 def uncertainty_metrics(

@@ -113,7 +113,11 @@ class Module:
         return {name: param.data.copy() for name, param in self.named_parameters()}
 
     def load_state_dict(self, state: Dict[str, np.ndarray], strict: bool = True) -> None:
-        """Load parameter values from a :meth:`state_dict`-style mapping."""
+        """Load parameter values from a :meth:`state_dict`-style mapping.
+
+        Every name and shape is checked before any weight is written, so a
+        mismatched checkpoint leaves the module untouched.
+        """
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)
@@ -121,15 +125,18 @@ class Module:
             raise KeyError(
                 f"state_dict mismatch: missing={sorted(missing)}, unexpected={sorted(unexpected)}"
             )
-        for name, param in own.items():
-            if name not in state:
-                continue
-            value = np.asarray(state[name], dtype=param.data.dtype)
-            if value.shape != param.data.shape:
+        values = {
+            name: np.asarray(state[name], dtype=param.data.dtype)
+            for name, param in own.items()
+            if name in state
+        }
+        for name, value in values.items():
+            if value.shape != own[name].data.shape:
                 raise ValueError(
-                    f"shape mismatch for '{name}': expected {param.data.shape}, got {value.shape}"
+                    f"shape mismatch for '{name}': expected {own[name].data.shape}, got {value.shape}"
                 )
-            param.data[...] = value
+        for name, value in values.items():
+            own[name].data[...] = value
 
     def __repr__(self) -> str:
         child_lines = [f"  ({name}): {module.__class__.__name__}" for name, module in self._modules.items()]

@@ -159,8 +159,8 @@ def configure(
 
 
 def reset() -> None:
-    """Disable every instrument and drop collected spans/phases (tests)."""
-    configure(enabled=False)
+    """Disable every instrument, restore full sampling, drop spans/phases (tests)."""
+    configure(enabled=False, sample_rate=1.0)
     trace_store().clear()
     profiler().reset()
     configure_logging(ring_size=1024)

@@ -8,7 +8,9 @@ per named phase (``window_build``, ``batch_wait``, ``model_forward``,
 
 * an exact running ``count`` and ``total`` seconds (monotonic — what the
   Prometheus ``_count`` / ``_sum`` series render);
-* a bounded ring of the most recent samples for p50/p99 readouts.
+* a bounded ring of the most recent samples for p50/p99 readouts, read
+  with :func:`nearest_rank`, the quantile rule the gateway's latency
+  summaries use too.
 
 A phase counts once per occurrence of the work it times.  The stream cores
 calibrate, resolve and monitor a fleet tick's streams in one batch
@@ -26,15 +28,17 @@ discipline as :mod:`repro.obs.trace`.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "PHASES",
     "PhaseProfiler",
     "configure_profiling",
+    "nearest_rank",
     "phase",
     "profiler",
     "profiling_enabled",
@@ -57,6 +61,20 @@ PHASES = (
 )
 
 
+def nearest_rank(samples: Iterable[float], q: float) -> float:
+    """Nearest-rank ``q``-quantile: the ``ceil(q * n)``-th smallest sample.
+
+    ``q = 0`` reads the smallest; NaN with no samples.  Every ``/metrics``
+    summary (gateway latencies, profiler phases) uses this one rule.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("quantile must lie in [0, 1]")
+    ordered = sorted(samples)
+    if not ordered:
+        return float("nan")
+    return float(ordered[max(math.ceil(q * len(ordered)), 1) - 1])
+
+
 class _PhaseStat:
     """Accumulator for one phase: exact count/total + a sample ring."""
 
@@ -68,11 +86,7 @@ class _PhaseStat:
         self.samples: deque = deque(maxlen=sample_window)
 
     def quantile(self, q: float) -> float:
-        if not self.samples:
-            return float("nan")
-        ordered = sorted(self.samples)
-        index = min(int(q * len(ordered)), len(ordered) - 1)
-        return ordered[index]
+        return nearest_rank(self.samples, q)
 
 
 class _PhaseTimer:

@@ -9,24 +9,16 @@ schedule of AWA (paper Eq. 16) and the running weight average (paper Eq. 15).
 from repro.optim.optimizer import Optimizer
 from repro.optim.sgd import SGD
 from repro.optim.adam import Adam
-from repro.optim.lbfgs import LBFGS, minimize_scalar_lbfgs
-from repro.optim.lr_scheduler import (
-    ConstantLR,
-    CosineAnnealingLR,
-    CyclicCosineLR,
-    LRScheduler,
-)
+from repro.optim.lbfgs import minimize_scalar_lbfgs
+from repro.optim.lr_scheduler import CyclicCosineLR, LRScheduler
 from repro.optim.swa import WeightAverager
 
 __all__ = [
     "Optimizer",
     "SGD",
     "Adam",
-    "LBFGS",
     "minimize_scalar_lbfgs",
     "LRScheduler",
-    "ConstantLR",
-    "CosineAnnealingLR",
     "CyclicCosineLR",
     "WeightAverager",
 ]

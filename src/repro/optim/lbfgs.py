@@ -1,131 +1,18 @@
-"""L-BFGS optimizer used by the temperature-scaling calibration stage.
+"""L-BFGS for the temperature-scaling calibration stage.
 
 The paper (Section IV-C3) optimizes the single temperature parameter ``T``
-with Limited-memory BFGS.  Two interfaces are provided:
-
-* :class:`LBFGS` — a closure-style optimizer over arbitrary parameters,
-  implemented with the two-loop recursion, mirroring ``torch.optim.LBFGS``.
-* :func:`minimize_scalar_lbfgs` — a convenience wrapper that minimizes a
-  scalar objective via SciPy's reference implementation; it is used by the
-  calibration module where the objective is a cheap closed-form function of
-  cached predictions.
+with Limited-memory BFGS.  :func:`minimize_scalar_lbfgs` minimizes that
+scalar objective with SciPy's reference implementation; the calibration
+module calls it, since the objective is a cheap closed-form function of
+cached predictions.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 from scipy import optimize
-
-from repro.nn.module import Parameter
-from repro.optim.optimizer import Optimizer
-
-
-class LBFGS(Optimizer):
-    """Limited-memory BFGS with the standard two-loop recursion.
-
-    Usage follows the closure pattern::
-
-        optimizer = LBFGS(model.parameters(), lr=0.02, max_iter=500)
-
-        def closure():
-            optimizer.zero_grad()
-            loss = compute_loss()
-            loss.backward()
-            return loss
-
-        optimizer.step(closure)
-
-    A fixed step size ``lr`` is used (no line search); ``max_iter`` iterations
-    are performed inside a single ``step`` call, like PyTorch's LBFGS.
-    """
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 1.0,
-        max_iter: int = 20,
-        history_size: int = 10,
-        tolerance_grad: float = 1e-10,
-    ) -> None:
-        super().__init__(parameters, lr)
-        if max_iter < 1 or history_size < 1:
-            raise ValueError("max_iter and history_size must be >= 1")
-        self.max_iter = max_iter
-        self.history_size = history_size
-        self.tolerance_grad = tolerance_grad
-
-    # -- flat parameter/gradient helpers ---------------------------------- #
-    def _flat_params(self) -> np.ndarray:
-        return np.concatenate([p.data.reshape(-1) for p in self.parameters])
-
-    def _flat_grad(self) -> np.ndarray:
-        chunks = []
-        for param in self.parameters:
-            grad = param.grad if param.grad is not None else np.zeros_like(param.data)
-            chunks.append(grad.reshape(-1))
-        return np.concatenate(chunks)
-
-    def _set_flat_params(self, flat: np.ndarray) -> None:
-        offset = 0
-        for param in self.parameters:
-            size = param.data.size
-            param.data[...] = flat[offset : offset + size].reshape(param.data.shape)
-            offset += size
-
-    # -- optimization ------------------------------------------------------ #
-    def step(self, closure: Callable[[], "object"]) -> float:
-        """Run ``max_iter`` L-BFGS iterations; returns the final loss value."""
-        s_history: List[np.ndarray] = []
-        y_history: List[np.ndarray] = []
-
-        loss = closure()
-        loss_value = float(loss.item())
-        grad = self._flat_grad()
-
-        for _ in range(self.max_iter):
-            if np.max(np.abs(grad)) < self.tolerance_grad:
-                break
-            direction = self._two_loop_direction(grad, s_history, y_history)
-            old_params = self._flat_params()
-            old_grad = grad
-
-            self._set_flat_params(old_params + self.lr * direction)
-            loss = closure()
-            loss_value = float(loss.item())
-            grad = self._flat_grad()
-
-            s = self._flat_params() - old_params
-            y = grad - old_grad
-            if float(y @ s) > 1e-10:
-                s_history.append(s)
-                y_history.append(y)
-                if len(s_history) > self.history_size:
-                    s_history.pop(0)
-                    y_history.pop(0)
-            self.step_count += 1
-        return loss_value
-
-    @staticmethod
-    def _two_loop_direction(
-        grad: np.ndarray, s_history: List[np.ndarray], y_history: List[np.ndarray]
-    ) -> np.ndarray:
-        q = grad.copy()
-        alphas = []
-        for s, y in zip(reversed(s_history), reversed(y_history)):
-            rho = 1.0 / float(y @ s)
-            alpha = rho * float(s @ q)
-            q -= alpha * y
-            alphas.append((rho, alpha))
-        if s_history:
-            s, y = s_history[-1], y_history[-1]
-            gamma = float(s @ y) / float(y @ y)
-            q *= gamma
-        for (s, y), (rho, alpha) in zip(zip(s_history, y_history), reversed(alphas)):
-            beta = rho * float(y @ q)
-            q += (alpha - beta) * s
-        return -q
 
 
 def minimize_scalar_lbfgs(

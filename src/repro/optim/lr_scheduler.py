@@ -38,28 +38,6 @@ class LRScheduler:
         return [self.get_lr(step) for step in range(1, num_steps + 1)]
 
 
-class ConstantLR(LRScheduler):
-    """Keep the learning rate fixed (useful as a no-op default)."""
-
-    def get_lr(self, step: int) -> float:
-        return self.base_lr
-
-
-class CosineAnnealingLR(LRScheduler):
-    """Cosine decay from the base lr to ``lr_min`` over ``total_steps``."""
-
-    def __init__(self, optimizer: Optimizer, total_steps: int, lr_min: float = 0.0) -> None:
-        super().__init__(optimizer)
-        if total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
-        self.total_steps = total_steps
-        self.lr_min = lr_min
-
-    def get_lr(self, step: int) -> float:
-        progress = min(step, self.total_steps) / self.total_steps
-        return self.lr_min + 0.5 * (self.base_lr - self.lr_min) * (1.0 + math.cos(math.pi * progress))
-
-
 class CyclicCosineLR(LRScheduler):
     """AWA re-training schedule (paper Eq. 16, Fig. 5).
 

@@ -2,13 +2,14 @@
 
 Two composable halves:
 
-* :mod:`repro.scenarios.dsl` — declarative, file-loadable
-  (:func:`load_scenario`, JSON or INI) stream scenarios built from traffic
-  primitives.  The three canonical scripted feeds compile **bit-identically**
-  to their hand-coded ``StreamingTrafficFeed.scenario`` counterparts
-  (:func:`legacy_scenario`), and six extended primitives add holiday/seasonal
-  cycles, sensor clock skew, stuck sensors, adversarial spikes, cold-start
-  corridors and cascading multi-region incidents;
+* :mod:`repro.scenarios.dsl` — declarative stream scenarios built from
+  traffic primitives, saved as and loaded from JSON files
+  (:meth:`ScenarioSpec.save`, :func:`load_scenario`).  A spec holding the
+  primitive a canonical scripted feed hard-codes compiles
+  **bit-identically** to its ``StreamingTrafficFeed.scenario`` counterpart,
+  and six extended primitives add holiday/seasonal cycles, sensor clock
+  skew, stuck sensors, adversarial spikes, cold-start corridors and
+  cascading multi-region incidents;
 * :mod:`repro.scenarios.chaos` — deterministic system-level fault injection
   (kill-and-restore from checkpoint, raising/hanging model passes, dying
   refit threads, cache thrash) plus the :class:`ChaosSchedule` /
@@ -39,18 +40,12 @@ from repro.scenarios.dsl import (
     LEGACY_KINDS,
     PRIMITIVE_DEFAULTS,
     ScenarioSpec,
-    legacy_scenario,
     load_scenario,
-    parse_scenario_ini,
-    parse_scenario_json,
 )
 
 __all__ = [
     "ScenarioSpec",
-    "legacy_scenario",
     "load_scenario",
-    "parse_scenario_json",
-    "parse_scenario_ini",
     "LEGACY_KINDS",
     "PRIMITIVE_DEFAULTS",
     "ChaosSchedule",

@@ -94,7 +94,7 @@ def kill_and_restore(
     return type(fleet).load(directory, server, **load_kwargs)
 
 
-def scheduled_kill_and_restore(
+def scheduled_kill_and_restore(  # repro: noqa[unused/symbol] README "Scenario DSL & chaos harness"
     directory: Union[str, Path],
     server_factory: Callable[[], Any],
     **load_kwargs: Any,
@@ -176,7 +176,7 @@ class PredictFault:
         raise self.error
 
 
-class FlakyRefit:
+class FlakyRefit:  # repro: noqa[unused/symbol] instrument tests/scenarios/test_chaos.py drives
     """Wrap a fleet ``refit_fn`` so a chosen call dies (thread and all).
 
     The coordinator runs refits on background threads; a raising wrapped
@@ -212,7 +212,7 @@ class FlakyRefit:
         return self.refit_fn(region, recents)
 
 
-def thrash_cache(
+def thrash_cache(  # repro: noqa[unused/symbol] instrument tests/scenarios/test_chaos.py drives
     server: Any,
     num_windows: int,
     history: int,

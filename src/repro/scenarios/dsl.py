@@ -3,18 +3,19 @@
 A scenario is data, not code: a :class:`ScenarioSpec` names a stream length,
 a seed and an ordered list of *primitives* — small parameter dicts — and
 :meth:`ScenarioSpec.build` compiles them onto a
-:class:`~repro.data.StreamingTrafficFeed`.  Specs load from JSON or INI
-files (:func:`load_scenario`), so the scripted feeds streaming experiments
-run on live in version-controlled config instead of ad-hoc driver code.
+:class:`~repro.data.StreamingTrafficFeed`.  Specs save to and load from
+JSON files (:meth:`ScenarioSpec.save`, :func:`load_scenario`), so the
+scripted feeds streaming experiments run on live in version-controlled
+config instead of ad-hoc driver code.
 
 Two families of primitives compose:
 
 * the **legacy** kinds — ``regime_shift``, ``incident_storm``,
   ``dropout_burst`` — are forwarded verbatim as
   :class:`~repro.data.StreamScenarioEvent` into the feed's own generation
-  pass.  A spec built from :func:`legacy_scenario` is therefore
-  **bit-identical** to the hand-coded ``StreamingTrafficFeed.scenario``
-  feed at the same seed: same RNG, same draw order, same floats;
+  pass.  A spec with the primitive ``StreamingTrafficFeed.scenario``
+  hard-codes is therefore **bit-identical** to that feed at the same
+  seed: same RNG, same draw order, same floats;
 * the **extended** kinds — ``holiday_cycle``, ``clock_skew``,
   ``stuck_sensor``, ``adversarial_spike``, ``cold_start``, ``cascade`` —
   are post-transforms on the generated stream.  Each one draws from its own
@@ -35,14 +36,10 @@ Example (JSON)::
          "node_fraction": 0.1}
       ]
     }
-
-The INI form mirrors it: a ``[scenario]`` section plus one
-``[primitive.<n>]`` section per primitive, values parsed as JSON literals.
 """
 
 from __future__ import annotations
 
-import configparser
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -384,89 +381,11 @@ _EXTENDED_APPLIERS = {
 }
 
 
-# ---------------------------------------------------------------------- #
-# Canonical specs and file loaders
-# ---------------------------------------------------------------------- #
-def legacy_scenario(
-    name: str, num_steps: int = 1000, seed: int = 0, **overrides: Any
+def load_scenario(  # repro: noqa[unused/symbol] README "Scenario DSL & chaos harness"
+    path: Union[str, Path]
 ) -> ScenarioSpec:
-    """The three canonical scripted feeds as DSL specs.
-
-    Builds the exact primitive parameters
-    :meth:`StreamingTrafficFeed.scenario` hard-codes, so
-    ``legacy_scenario(name, n, seed).build(network)`` is bit-identical to
-    ``StreamingTrafficFeed.scenario(network, name, n, seed=seed)``.
-    ``overrides`` replace event fields, mirroring the classmethod.
-    """
-    half, third, twelfth = num_steps // 2, num_steps // 3, max(num_steps // 12, 1)
-    defaults: Dict[str, Dict[str, Any]] = {
-        "regime_shift": {"kind": "regime_shift", "start": half, "noise_scale": 2.5},
-        "incident_storm": {
-            "kind": "incident_storm", "start": third,
-            "duration": max(num_steps // 6, 1), "rate": 0.3, "severity": 0.6,
-        },
-        "dropout_burst": {
-            "kind": "dropout_burst", "start": half, "duration": twelfth,
-            "node_fraction": 0.4,
-        },
-    }
-    if name not in defaults:
-        raise ValueError(f"unknown scenario {name!r}; available: {', '.join(defaults)}")
-    primitive = defaults[name]
-    primitive.update(overrides)
-    return ScenarioSpec(
-        name=name, num_steps=num_steps, seed=seed, primitives=(primitive,)
-    )
-
-
-def parse_scenario_json(text: str) -> ScenarioSpec:
-    return ScenarioSpec.from_dict(json.loads(text))
-
-
-def parse_scenario_ini(text: str) -> ScenarioSpec:
-    """Parse the INI scenario form: ``[scenario]`` + ``[primitive.<n>]``.
-
-    Section values are parsed as JSON literals (numbers, booleans, ``null``,
-    lists) with a plain-string fallback, so ``duration = null`` and
-    ``nodes = [0, 3]`` work without quoting gymnastics.
-    """
-    parser = configparser.ConfigParser()
-    parser.read_string(text)
-    if "scenario" not in parser:
-        raise ValueError("INI scenario needs a [scenario] section")
-
-    def coerce(raw: str) -> Any:
-        try:
-            return json.loads(raw)
-        except (json.JSONDecodeError, ValueError):
-            return raw
-
-    record: Dict[str, Any] = {
-        key: coerce(value) for key, value in parser["scenario"].items()
-    }
-    primitive_sections = sorted(
-        (section for section in parser.sections() if section.startswith("primitive")),
-        key=lambda section: (len(section), section),
-    )
-    record["primitives"] = [
-        {key: coerce(value) for key, value in parser[section].items()}
-        for section in primitive_sections
-    ]
-    config_record = {
-        key: coerce(value) for key, value in parser["config"].items()
-    } if "config" in parser else None
-    if config_record:
-        record["config"] = config_record
-    return ScenarioSpec.from_dict(record)
-
-
-def load_scenario(path: Union[str, Path]) -> ScenarioSpec:
-    """Load a :class:`ScenarioSpec` from a ``.json`` or ``.ini``/``.cfg`` file."""
+    """Load a :class:`ScenarioSpec` from a ``.json`` file (:meth:`ScenarioSpec.save`)."""
     path = Path(path)
-    if path.suffix.lower() == ".json":
-        return parse_scenario_json(path.read_text())
-    if path.suffix.lower() in (".ini", ".cfg"):
-        return parse_scenario_ini(path.read_text())
-    raise ValueError(
-        f"unsupported scenario file type {path.suffix!r} (use .json, .ini or .cfg)"
-    )
+    if path.suffix.lower() != ".json":
+        raise ValueError(f"unsupported scenario file type {path.suffix!r} (use .json)")
+    return ScenarioSpec.from_dict(json.loads(path.read_text()))

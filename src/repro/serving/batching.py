@@ -100,7 +100,7 @@ class MicroBatcher:
         self._queue.put(_Shutdown())
 
     @property
-    def closed(self) -> bool:  # repro: noqa[unused/symbol] queue state query
+    def closed(self) -> bool:
         return self._closed.is_set()
 
     def next_batch(self, poll_timeout: float = 0.1) -> Optional[List[InferenceRequest]]:

@@ -133,8 +133,17 @@ class InferenceServer:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> "InferenceServer":
+        """Start the dispatcher; a no-op on a running server.
+
+        A stopped server cannot start again, since its batcher is closed and
+        its worker pool shut down: build a new server instead.
+        """
         if self._running:
             return self
+        if self.batcher.closed:
+            raise RuntimeError(
+                "a stopped InferenceServer cannot be restarted; build a new server"
+            )
         self._running = True
         self._dispatcher = threading.Thread(target=self._dispatch_loop, daemon=True)
         self._dispatcher.start()

@@ -28,11 +28,9 @@ from repro.tensor.functional import (
     maximum,
     mean,
     minimum,
-    mul,
     relu,
     sigmoid,
     softmax,
-    softplus,
     sqrt,
     stack,
     sum as sum_,
@@ -55,11 +53,9 @@ __all__ = [
     "maximum",
     "mean",
     "minimum",
-    "mul",
     "relu",
     "sigmoid",
     "softmax",
-    "softplus",
     "sqrt",
     "stack",
     "sum_",

@@ -28,10 +28,6 @@ def add(a: ArrayLike, b: ArrayLike) -> Tensor:
     return _as_tensor(a) + _as_tensor(b)
 
 
-def mul(a: ArrayLike, b: ArrayLike) -> Tensor:
-    return _as_tensor(a) * _as_tensor(b)
-
-
 def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:
     return _as_tensor(a).matmul(_as_tensor(b))
 
@@ -64,10 +60,6 @@ def leaky_relu(  # repro: noqa[unused/symbol] op offered to model code
     x: ArrayLike, negative_slope: float = 0.01
 ) -> Tensor:
     return _as_tensor(x).leaky_relu(negative_slope)
-
-
-def softplus(x: ArrayLike) -> Tensor:
-    return _as_tensor(x).softplus()
 
 
 def clip(x: ArrayLike, low: Optional[float] = None, high: Optional[float] = None) -> Tensor:

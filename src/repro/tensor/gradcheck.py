@@ -40,7 +40,7 @@ def numerical_gradient(
     return grad
 
 
-def gradcheck(
+def gradcheck(  # repro: noqa[unused/symbol] the reference tests/tensor/test_gradcheck.py uses
     func: Callable[..., Tensor],
     inputs: Sequence[Tensor],
     eps: float = 1e-6,

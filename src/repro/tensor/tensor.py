@@ -365,16 +365,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def softplus(self) -> "Tensor":
-        # Numerically stable softplus: log(1 + exp(x)) = max(x, 0) + log1p(exp(-|x|)).
-        out_data = np.maximum(self.data, 0.0) + np.log1p(np.exp(-np.abs(self.data)))
-        sig = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * sig)
-
-        return Tensor._make(out_data, (self,), backward)
-
     def clip(self, low: Optional[float] = None, high: Optional[float] = None) -> "Tensor":
         out_data = np.clip(self.data, low, high)
         mask = np.ones_like(self.data)

@@ -4,10 +4,8 @@ from repro.utils.jsonsafe import json_ready
 from repro.utils.seed import seed_everything
 from repro.utils.serialization import (
     load_checkpoint,
-    load_model_weights,
     pack_state_arrays,
     save_checkpoint,
-    save_model_weights,
     unpack_state_arrays,
 )
 from repro.utils.tables import format_table
@@ -15,8 +13,6 @@ from repro.utils.tables import format_table
 __all__ = [
     "json_ready",
     "seed_everything",
-    "save_model_weights",
-    "load_model_weights",
     "save_checkpoint",
     "load_checkpoint",
     "pack_state_arrays",

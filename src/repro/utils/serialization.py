@@ -1,15 +1,9 @@
-"""Model checkpointing: ``.npz`` weight archives and directory checkpoints.
+"""Model checkpointing: directory checkpoints of JSON metadata plus arrays.
 
-Two layers:
-
-* :func:`save_model_weights` / :func:`load_model_weights` — a single module's
-  ``state_dict`` as one compressed ``.npz`` file, with the checkpoint's key
-  set validated against the receiving architecture before any weight is
-  touched;
-* :func:`save_checkpoint` / :func:`load_checkpoint` — a directory pairing a
-  JSON metadata document with an ``.npz`` archive of named arrays, the
-  on-disk format of the full-state :class:`~repro.api.Forecaster`
-  checkpoints (spec + weights + scaler statistics + calibration state).
+:func:`save_checkpoint` / :func:`load_checkpoint` write and read a directory
+pairing a JSON metadata document with an ``.npz`` archive of named arrays,
+the on-disk format of the full-state :class:`~repro.api.Forecaster`
+checkpoints (spec + weights + scaler statistics + calibration state).
 
 :func:`pack_state_arrays` / :func:`unpack_state_arrays` namespace several
 state dicts (model weights, ensemble members, snapshots) into one flat
@@ -23,54 +17,6 @@ from pathlib import Path
 from typing import Any, Dict, Tuple, Union
 
 import numpy as np
-
-from repro.nn.module import Module
-
-
-def save_model_weights(model: Module, path: Union[str, Path]) -> Path:
-    """Save a module's ``state_dict`` to ``path`` (``.npz`` is appended if missing)."""
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_suffix(".npz")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path, **model.state_dict())
-    return path
-
-
-def load_model_weights(model: Module, path: Union[str, Path]) -> Module:
-    """Load weights saved with :func:`save_model_weights` into ``model``.
-
-    The checkpoint's parameter names are validated against the model before
-    any weight is written: a mismatched architecture raises a ``ValueError``
-    listing the missing and unexpected parameter names, instead of the
-    generic mapping error ``load_state_dict`` would produce.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"checkpoint {path} does not exist")
-    with np.load(path) as archive:
-        state = {key: archive[key] for key in archive.files}
-    parameters = dict(model.named_parameters())
-    missing = sorted(set(parameters) - set(state))
-    unexpected = sorted(set(state) - set(parameters))
-    if missing or unexpected:
-        raise ValueError(
-            f"checkpoint {path} does not match the {model.__class__.__name__} "
-            f"architecture: missing parameters {missing or 'none'}; "
-            f"unexpected parameters {unexpected or 'none'}"
-        )
-    mismatched = sorted(
-        f"{name} (expected {parameters[name].data.shape}, got {state[name].shape})"
-        for name in parameters
-        if state[name].shape != parameters[name].data.shape
-    )
-    if mismatched:
-        raise ValueError(
-            f"checkpoint {path} does not match the {model.__class__.__name__} "
-            f"architecture: shape mismatches {mismatched}"
-        )
-    model.load_state_dict(state)
-    return model
 
 
 # ---------------------------------------------------------------------- #

@@ -684,6 +684,53 @@ class TestUnused:
             assert findings == [], tree
             (tmp_path / tree / "caller.py").unlink()
 
+    def test_a_package_reexport_is_not_a_use(self, tmp_path):
+        findings, _ = run_unused(
+            tmp_path,
+            """
+            def reexported():
+                return 1
+
+            def called_by_init():
+                return 2
+
+            def imported_by_example():
+                return 3
+            """,
+            {
+                "src/repro/pkg/__init__.py": (
+                    "from repro.pkg.mod import called_by_init, reexported\n"
+                    "from .mod import imported_by_example\n"
+                    "__all__ = ['reexported', 'called_by_init', 'imported_by_example']\n"
+                    "DEFAULT = called_by_init()\n"
+                ),
+                "examples/demo.py": "from repro.pkg import imported_by_example\n",
+            },
+        )
+        assert findings == ["reexported"]
+
+    def test_a_reexport_chain_is_not_a_use(self, tmp_path):
+        """Re-exported twice, by ``repro.pkg`` and by ``repro``, still unused;
+        an ordinary module's import of a sibling's symbol still counts."""
+        findings, _ = run_unused(
+            tmp_path,
+            """
+            def chained():
+                return 1
+
+            def used_by_sibling():
+                return 2
+            """,
+            {
+                "src/repro/pkg/__init__.py": (
+                    "from repro.pkg.mod import chained, used_by_sibling\n"
+                ),
+                "src/repro/__init__.py": "from repro.pkg import chained\n",
+                "src/repro/pkg/sibling.py": "from repro.pkg.mod import used_by_sibling\n",
+            },
+        )
+        assert findings == ["chained"]
+
     def test_unused_class_is_one_finding(self, tmp_path):
         findings, _ = run_unused(
             tmp_path,

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro import data as data_pkg
 from repro.data import (
     DataLoader,
-    MinMaxScaler,
     SlidingWindowDataset,
     StandardScaler,
     StreamScenarioEvent,
@@ -237,20 +236,6 @@ class TestScalers:
     def test_standard_scaler_constant_input(self):
         scaler = StandardScaler().fit(np.full(10, 7.0))
         assert scaler.std_ == 1.0
-
-    def test_minmax_range(self):
-        values = np.random.default_rng(3).uniform(5.0, 25.0, size=(100, 2))
-        scaled = MinMaxScaler().fit(values).transform(values)
-        assert scaled.min() >= 0.0 and scaled.max() <= 1.0
-
-    def test_minmax_roundtrip(self):
-        values = np.random.default_rng(4).uniform(-3.0, 9.0, size=50)
-        scaler = MinMaxScaler().fit(values)
-        assert np.allclose(scaler.inverse_transform(scaler.transform(values)), values)
-
-    def test_minmax_unfitted(self):
-        with pytest.raises(RuntimeError):
-            MinMaxScaler().transform(np.ones(3))
 
     @given(
         st.lists(st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False), min_size=2, max_size=50)

@@ -10,6 +10,7 @@ import threading
 import time
 
 import numpy as np
+import pytest
 
 from repro.gateway import Gateway
 from repro.serving import InferenceServer
@@ -118,3 +119,13 @@ def test_restart_after_stop_binds_a_fresh_port():
         assert status == 200
     finally:
         gateway.stop(timeout=5.0)
+
+
+def test_restart_after_a_full_stop_needs_a_new_server():
+    server = InferenceServer(max_batch_size=8, max_wait_ms=1.0)
+    server.deploy("gen-0", constant_predictor(0.0))
+    gateway = Gateway(server).start(port=0)
+    gateway.stop(timeout=5.0)
+    with pytest.raises(RuntimeError, match="build a new server"):
+        gateway.start(port=0)
+    assert gateway.port is None

@@ -7,9 +7,11 @@ import repro.obs as obs
 from repro.fleet import StreamFleet
 from repro.gateway.metrics import (
     _STREAM_METRIC_KEYS,
+    GatewayMetrics,
     _Exposition,
     parse_prometheus_text,
 )
+from repro.obs.profiler import PhaseProfiler
 from repro.serving import InferenceServer
 
 from gatewaylib import HISTORY, NODES, constant_predictor, http_call
@@ -234,3 +236,22 @@ class TestExpositionEscaping:
         assert status == 200
         series = parse_prometheus_text(text)
         assert series["repro_server_default_route"][(("deployment", name),)] == 1.0
+
+
+class TestOneQuantileRule:
+    """Gateway latencies and profiler phases share one nearest-rank rule,
+    so the quantiles of one ``/metrics`` scrape agree with each other."""
+
+    @pytest.mark.parametrize(
+        "samples_ms, p50_ms, p99_ms",
+        [([1.0, 100.0], 1.0, 100.0), ([float(ms) for ms in range(1, 101)], 50.0, 99.0)],
+    )
+    def test_gateway_and_profiler_summaries_agree(self, samples_ms, p50_ms, p99_ms):
+        gateway, prof = GatewayMetrics(), PhaseProfiler()
+        for ms in samples_ms:
+            gateway.record("/predict", 200, ms / 1e3)
+            prof.record("model_forward", ms / 1e3)
+        entry = prof.snapshot()["model_forward"]
+        for q, key, expected in ((0.5, "p50_ms", p50_ms), (0.99, "p99_ms", p99_ms)):
+            assert gateway.quantile("/predict", q) * 1e3 == pytest.approx(expected)
+            assert entry[key] == pytest.approx(expected)

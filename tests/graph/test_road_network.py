@@ -129,6 +129,16 @@ class TestGenerators:
         with pytest.raises(ValueError):
             graph.pems_like_network(100, 10)
 
+    def test_pems_like_rejects_more_edges_than_node_pairs(self):
+        # 10 nodes have 45 pairs; a 46th edge used to loop forever.
+        with pytest.raises(ValueError, match="exceeds the 45 node pairs"):
+            graph.pems_like_network(10, 46)
+
+    def test_pems_like_fills_the_complete_graph(self):
+        net = graph.pems_like_network(10, 45, seed=3)
+        assert net.num_edges == 45
+        assert list(net.degree()) == [9] * 10
+
     @given(
         nodes=st.integers(min_value=10, max_value=80),
         extra=st.integers(min_value=0, max_value=40),
@@ -137,6 +147,10 @@ class TestGenerators:
     @settings(max_examples=20, deadline=None)
     def test_pems_like_edge_budget_property(self, nodes, extra, seed):
         edges = nodes - 1 + extra
+        if edges > nodes * (nodes - 1) // 2:
+            with pytest.raises(ValueError, match="node pairs"):
+                graph.pems_like_network(nodes, edges, seed=seed)
+            return
         net = graph.pems_like_network(nodes, edges, seed=seed)
         assert net.num_nodes == nodes
         assert net.num_edges == edges
@@ -206,13 +220,3 @@ class TestAdjacencyNormalizations:
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             graph.symmetric_normalized_adjacency(-np.eye(3))
-
-    def test_gaussian_kernel_adjacency(self):
-        distances = np.array([[0.0, 1.0, 10.0], [1.0, 0.0, 1.0], [10.0, 1.0, 0.0]])
-        adj = graph.gaussian_kernel_adjacency(distances, threshold=0.05)
-        assert adj[0, 1] > adj[0, 2]
-        assert np.allclose(np.diag(adj), 0.0)
-
-    def test_gaussian_kernel_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            graph.gaussian_kernel_adjacency(np.ones((2, 3)))

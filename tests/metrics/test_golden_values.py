@@ -10,7 +10,6 @@ import pytest
 
 from repro.metrics import (
     Z_95,
-    coverage_width_criterion,
     interval_bounds,
     mae,
     mape,
@@ -180,10 +179,6 @@ class TestIntervalGoldens:
         # Target 3 above the upper bound: width + (2/0.05) * 1 = 2 + 40
         value = winkler_score(np.array([3.0]), np.array([0.0]), np.array([2.0]))
         assert value == pytest.approx(42.0, abs=1e-12)
-
-    def test_cwc_no_penalty_at_full_coverage(self):
-        value = coverage_width_criterion(np.array([1.0]), np.array([0.0]), np.array([2.0]))
-        assert value == pytest.approx(2.0, abs=1e-12)
 
 
 class TestHorizonGoldens:

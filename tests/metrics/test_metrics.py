@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.metrics import (
-    coverage_width_criterion,
     interval_bounds,
     mae,
     mape,
@@ -110,13 +109,6 @@ class TestIntervalMetrics:
         inside = winkler_score(target, np.array([8.0]), np.array([12.0]))
         missed = winkler_score(target, np.array([11.0]), np.array([12.0]))
         assert missed > inside
-
-    def test_coverage_width_criterion_penalty(self):
-        target = np.linspace(0, 10, 100)
-        tight_missing = coverage_width_criterion(target, target + 0.5, target + 1.0)
-        wide_covering = coverage_width_criterion(target, target - 5.0, target + 5.0)
-        assert tight_missing > 0
-        assert wide_covering == pytest.approx(10.0)
 
     def test_uncertainty_metrics_gaussian(self):
         rng = np.random.default_rng(0)

@@ -2,10 +2,13 @@
 
 import math
 
+import pytest
+
 from repro.obs.profiler import (
     PHASES,
     PhaseProfiler,
     configure_profiling,
+    nearest_rank,
     phase,
     profiler,
     profiling_enabled,
@@ -23,6 +26,33 @@ class TestDisabled:
 
     def test_shared_noop_timer_is_one_instance(self):
         assert phase("a") is phase("b")
+
+
+class TestNearestRank:
+    """The one quantile rule of every ``/metrics`` summary."""
+
+    @pytest.mark.parametrize(
+        "samples, q, expected",
+        [
+            ([3.0, 1.0, 2.0], 0.0, 1.0),
+            ([3.0, 1.0, 2.0], 1.0, 3.0),
+            ([3.0, 1.0, 2.0], 0.5, 2.0),
+            ([5.0], 0.99, 5.0),
+            ([float(v) for v in range(10, 0, -1)], 0.9, 9.0),
+        ],
+        ids=["q0-is-min", "q1-is-max", "median-of-three", "one-sample", "exact-rank"],
+    )
+    def test_picks_the_ceil_q_n_th_smallest(self, samples, q, expected):
+        assert nearest_rank(samples, q) == expected
+
+    def test_no_samples_read_nan(self):
+        assert math.isnan(nearest_rank([], 0.5))
+        assert math.isnan(nearest_rank(iter(()), 0.99))
+
+    @pytest.mark.parametrize("q", [-0.01, 1.5, float("nan")])
+    def test_q_outside_the_unit_interval_is_rejected(self, q):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            nearest_rank([1.0, 2.0], q)
 
 
 class TestAggregation:

@@ -238,3 +238,13 @@ class TestSampling:
             with start_trace(f"t{index}") as span:
                 second.append(span is not NOOP_SPAN)
         assert first == second
+
+    def test_reset_restores_full_sampling(self):
+        obs.configure(tracing=True, sample_rate=0.5, seed=7)
+        obs.reset()
+        obs.configure(enabled=True)
+        sampled = []
+        for index in range(20):
+            with start_trace(f"t{index}") as span:
+                sampled.append(span is not NOOP_SPAN)
+        assert all(sampled)

@@ -20,6 +20,7 @@ from repro.scenarios import (
     ScenarioSpec,
     kill_and_restore,
     run_fleet_scenario,
+    scheduled_kill_and_restore,
     thrash_cache,
 )
 from repro.serving import InferenceServer
@@ -156,6 +157,53 @@ class TestKillAndRestoreEquivalence:
                 np.testing.assert_array_equal(
                     actual["arrays"][key], array, err_msg=f"{name}:{key}"
                 )
+
+
+    def test_readme_schedule_recipe_matches_a_direct_kill_and_restore(self, tmp_path):
+        """README's ``scheduled_kill_and_restore`` action restores the fleet
+        exactly as a direct :func:`kill_and_restore` at the same tick."""
+        network = grid_network(2, 2)
+
+        def direct(fleet, tick):
+            return kill_and_restore(
+                fleet, tmp_path / "direct", _server(), detector_factory=_detectors
+            )
+
+        scheduled = scheduled_kill_and_restore(
+            tmp_path / "scheduled", _server, detector_factory=_detectors
+        )
+        runs = {}
+        for label, action in (("direct", direct), ("scheduled", scheduled)):
+            killed = _fleet(_server())
+            survivor, results = run_fleet_scenario(
+                killed, _shift_feeds(network), chaos=ChaosSchedule().at(KILL, action)
+            )
+            survivor.server.stop()
+            assert survivor is not killed
+            assert not killed.server.stats["running"]
+            runs[label] = survivor, results
+
+        reference_fleet, reference_results = runs["direct"]
+        fleet, results = runs["scheduled"]
+        assert len(results) == len(reference_results) == STEPS
+        for tick, reference in zip(results, reference_results):
+            assert tick.tick == reference.tick
+            assert tick.events == reference.events
+            for name, expected in reference:
+                actual = tick[name]
+                assert actual.events == expected.events
+                assert (actual.prediction is None) == (expected.prediction is None)
+                if expected.prediction is not None:
+                    for attr in ("mean", "std"):
+                        np.testing.assert_array_equal(
+                            getattr(actual.prediction, attr),
+                            getattr(expected.prediction, attr),
+                        )
+                    np.testing.assert_array_equal(actual.lower, expected.lower)
+                    np.testing.assert_array_equal(actual.upper, expected.upper)
+        fires = _first_fires(reference_fleet)
+        assert all(step is not None and step > KILL for step in fires.values())
+        assert _first_fires(fleet) == fires
 
 
 class _FireAt:

@@ -1,4 +1,4 @@
-"""Scenario DSL: legacy bit-identity, file round trips, extended primitives."""
+"""Scenario DSL: legacy bit-identity, JSON round trips, extended primitives."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,31 @@ import pytest
 from repro.data import StreamingTrafficFeed
 from repro.data.synthetic import SyntheticTrafficConfig
 from repro.graph import grid_network
-from repro.scenarios import (
-    ScenarioSpec,
-    legacy_scenario,
-    load_scenario,
-    parse_scenario_ini,
-)
+from repro.scenarios import ScenarioSpec, load_scenario
 
 STEPS = 300
 SEED = 11
+
+#: The primitive ``StreamingTrafficFeed.scenario`` hard-codes for each
+#: canonical feed at ``STEPS`` steps, written out as DSL data.
+CANONICAL = {
+    "regime_shift": {"kind": "regime_shift", "start": STEPS // 2, "noise_scale": 2.5},
+    "incident_storm": {
+        "kind": "incident_storm", "start": STEPS // 3, "duration": STEPS // 6,
+        "rate": 0.3, "severity": 0.6,
+    },
+    "dropout_burst": {
+        "kind": "dropout_burst", "start": STEPS // 2, "duration": STEPS // 12,
+        "node_fraction": 0.4,
+    },
+}
+
+
+def canonical_spec(name, seed=SEED, **overrides):
+    return ScenarioSpec(
+        name=name, num_steps=STEPS, seed=seed,
+        primitives=({**CANONICAL[name], **overrides},),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +43,7 @@ class TestLegacyBitIdentity:
 
     @pytest.mark.parametrize("name", ["regime_shift", "incident_storm", "dropout_burst"])
     def test_canonical_scenario_is_bit_identical(self, network, name):
-        built = legacy_scenario(name, num_steps=STEPS, seed=SEED).build(network)
+        built = canonical_spec(name).build(network)
         reference = StreamingTrafficFeed.scenario(
             network, name, num_steps=STEPS, seed=SEED
         )
@@ -37,9 +53,7 @@ class TestLegacyBitIdentity:
         np.testing.assert_array_equal(built.dropout_mask, reference.dropout_mask)
 
     def test_overrides_match_the_classmethod(self, network):
-        built = legacy_scenario(
-            "regime_shift", num_steps=STEPS, seed=3, start=90, noise_scale=4.0
-        ).build(network)
+        built = canonical_spec("regime_shift", seed=3, start=90, noise_scale=4.0).build(network)
         reference = StreamingTrafficFeed.scenario(
             network, "regime_shift", num_steps=STEPS, seed=3, start=90, noise_scale=4.0
         )
@@ -71,7 +85,7 @@ class TestLegacyBitIdentity:
 
     def test_extended_primitives_do_not_perturb_the_legacy_stream(self, network):
         """Appending an extended primitive leaves untouched entries identical."""
-        base = legacy_scenario("regime_shift", num_steps=STEPS, seed=SEED)
+        base = canonical_spec("regime_shift")
         mixed = ScenarioSpec(
             name="mixed",
             num_steps=STEPS,
@@ -107,59 +121,24 @@ class TestSerialization:
             loaded.build(network).values, spec.build(network).values
         )
 
-    def test_ini_form_builds_the_same_feed(self, network, tmp_path):
-        text = "\n".join(
-            [
-                "[scenario]",
-                "name = from-ini",
-                f"num_steps = {STEPS}",
-                "seed = 7",
-                "[config]",
-                "peak_amplitude = 0.0",
-                "weekend_attenuation = 1.0",
-                "[primitive.1]",
-                "kind = regime_shift",
-                "start = 150",
-                "noise_scale = 2.5",
-                "[primitive.2]",
-                "kind = holiday_cycle",
-                "every_days = 3",
-                "attenuation = 0.5",
-                "[primitive.3]",
-                "kind = cold_start",
-                "start = 40",
-                "nodes = [1, 4]",
-            ]
+    def test_handwritten_json_keeps_null_duration_and_primitive_order(
+        self, network, tmp_path
+    ):
+        path = tmp_path / "hand.JSON"
+        path.write_text(
+            '{"name": "n", "num_steps": 100, "primitives": ['
+            '{"kind": "stuck_sensor", "start": 10, "duration": null, "nodes": [0]},'
+            '{"kind": "adversarial_spike", "rate": 0.2}]}'
         )
-        path = tmp_path / "mix.ini"
-        path.write_text(text)
-        from_ini = load_scenario(path)
-        as_json = ScenarioSpec(
-            name="from-ini",
-            num_steps=STEPS,
-            seed=7,
-            primitives=(
-                {"kind": "regime_shift", "start": 150, "noise_scale": 2.5},
-                {"kind": "holiday_cycle", "every_days": 3, "attenuation": 0.5},
-                {"kind": "cold_start", "start": 40, "nodes": [1, 4]},
-            ),
-            config={"peak_amplitude": 0.0, "weekend_attenuation": 1.0},
-        )
-        assert from_ini == as_json
-        np.testing.assert_array_equal(
-            from_ini.build(network).values, as_json.build(network).values
-        )
-
-    def test_ini_null_duration_and_ordering(self, network):
-        spec = parse_scenario_ini(
-            "[scenario]\nname = n\nnum_steps = 100\n"
-            "[primitive.2]\nkind = stuck_sensor\nstart = 10\nduration = null\n"
-            "nodes = [0]\n"
-            "[primitive.10]\nkind = adversarial_spike\nrate = 0.2\n"
-        )
-        kinds = [p["kind"] for p in spec.primitives]
-        assert kinds == ["stuck_sensor", "adversarial_spike"]
+        spec = load_scenario(path)
+        assert [p["kind"] for p in spec.primitives] == ["stuck_sensor", "adversarial_spike"]
         assert spec.primitives[0]["duration"] is None
+        # A null duration freezes the sensor until the end of the stream.
+        values = ScenarioSpec(
+            name="n", num_steps=100, primitives=spec.primitives[:1]
+        ).build(network).values
+        assert np.isfinite(values[10, 0])
+        assert np.all(values[10:, 0] == values[10, 0])
 
     def test_unknown_kind_and_param_rejected(self):
         with pytest.raises(ValueError, match="unknown primitive kind"):
@@ -168,8 +147,9 @@ class TestSerialization:
             ScenarioSpec(
                 name="bad", primitives=({"kind": "regime_shift", "rate": 1.0},)
             )
-        with pytest.raises(ValueError, match="unsupported scenario file type"):
-            load_scenario("scenario.yaml")
+        for name in ("scenario.yaml", "scenario.ini"):
+            with pytest.raises(ValueError, match="unsupported scenario file type"):
+                load_scenario(name)
 
 
 class TestExtendedPrimitives:

@@ -76,6 +76,16 @@ class TestBoundedStop:
         server.stop()
         assert server.stats["stranded_requests"] == 0
 
+    def test_a_stopped_server_refuses_to_restart(self):
+        server = _server()
+        server.stop()
+        with pytest.raises(RuntimeError, match="build a new server"):
+            server.start()
+        assert not server.stats["running"]
+        with pytest.raises(RuntimeError, match="not running"):
+            server.submit(np.ones((HISTORY, NODES)))
+        assert server.stats["outstanding_requests"] == 0
+
     def test_stop_is_idempotent_after_strand(self):
         fault = PredictFault(hang=True)
         server = _server()

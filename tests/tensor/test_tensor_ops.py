@@ -143,13 +143,6 @@ class TestElementwiseFunctions:
         a.leaky_relu(0.1).sum().backward()
         assert np.allclose(a.grad, [0.1, 1.0])
 
-    def test_softplus_matches_log1p_exp(self):
-        a = Tensor([-50.0, 0.0, 50.0])
-        out = a.softplus().numpy()
-        assert np.isfinite(out).all()
-        assert np.allclose(out[1], np.log(2.0))
-        assert np.allclose(out[2], 50.0, atol=1e-6)
-
     def test_clip_gradient_masked(self):
         a = Tensor([-2.0, 0.5, 3.0], requires_grad=True)
         a.clip(0.0, 1.0).sum().backward()

@@ -7,10 +7,8 @@ from repro import nn
 from repro.utils import (
     format_table,
     load_checkpoint,
-    load_model_weights,
     pack_state_arrays,
     save_checkpoint,
-    save_model_weights,
     seed_everything,
     unpack_state_arrays,
 )
@@ -24,57 +22,6 @@ class TestSeed:
         assert np.random.rand() == pytest.approx(
             (seed_everything(123), np.random.rand())[1]
         )
-
-
-class TestSerialization:
-    def test_roundtrip(self, tmp_path):
-        model = nn.Linear(4, 3, rng=np.random.default_rng(0))
-        other = nn.Linear(4, 3, rng=np.random.default_rng(1))
-        path = save_model_weights(model, tmp_path / "checkpoint")
-        assert path.suffix == ".npz"
-        load_model_weights(other, path)
-        assert np.allclose(model.weight.numpy(), other.weight.numpy())
-        assert np.allclose(model.bias.numpy(), other.bias.numpy())
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_model_weights(nn.Linear(2, 2), tmp_path / "nope.npz")
-
-    def test_creates_parent_directories(self, tmp_path):
-        model = nn.Linear(2, 2)
-        path = save_model_weights(model, tmp_path / "deep" / "nested" / "model.npz")
-        assert path.exists()
-
-    def test_mismatched_architecture_lists_parameter_names(self, tmp_path):
-        """A wrong-architecture checkpoint names the offending parameters."""
-        path = save_model_weights(nn.Linear(4, 3), tmp_path / "linear.npz")
-        gru = nn.GRU(4, 3)
-        with pytest.raises(ValueError) as excinfo:
-            load_model_weights(gru, path)
-        message = str(excinfo.value)
-        assert "does not match the GRU architecture" in message
-        assert "missing parameters" in message and "unexpected parameters" in message
-        # The checkpoint's Linear parameters are reported as unexpected.
-        assert "weight" in message and "bias" in message
-
-    def test_shape_mismatch_rejected_before_any_write(self, tmp_path):
-        """Same names, different widths: rejected up front, model untouched."""
-        path = save_model_weights(nn.Linear(4, 3), tmp_path / "narrow.npz")
-        wide = nn.Linear(4, 5)
-        before = {k: v.copy() for k, v in wide.state_dict().items()}
-        with pytest.raises(ValueError, match="shape mismatches"):
-            load_model_weights(wide, path)
-        after = wide.state_dict()
-        assert all(np.array_equal(before[k], after[k]) for k in before)
-
-    def test_mismatch_leaves_model_untouched(self, tmp_path):
-        path = save_model_weights(nn.Linear(4, 3), tmp_path / "linear.npz")
-        target = nn.GRU(4, 3)
-        before = {k: v.copy() for k, v in target.state_dict().items()}
-        with pytest.raises(ValueError):
-            load_model_weights(target, path)
-        after = target.state_dict()
-        assert all(np.array_equal(before[k], after[k]) for k in before)
 
 
 class TestStateArrays:
@@ -105,6 +52,68 @@ class TestDirectoryCheckpoints:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="not a checkpoint directory"):
             load_checkpoint(tmp_path / "absent")
+
+
+class _TwoLayer(nn.Module):
+    def __init__(self, out: int, seed: int) -> None:
+        super().__init__()
+        self.fc1 = nn.Linear(4, 3, rng=np.random.default_rng(seed))
+        self.fc2 = nn.Linear(3, out, rng=np.random.default_rng(seed + 1))
+
+
+def _save_weights(model, directory):
+    """Model weights the way the pipeline checkpoints them."""
+    return save_checkpoint(directory, {}, pack_state_arrays("model.", model.state_dict()))
+
+
+def _load_weights(model, directory):
+    _, arrays = load_checkpoint(directory)
+    model.load_state_dict(unpack_state_arrays("model.", arrays))
+
+
+class TestModelWeights:
+    """Model weights through a directory checkpoint and ``load_state_dict``."""
+
+    def test_roundtrip(self, tmp_path):
+        model = nn.Linear(4, 3, rng=np.random.default_rng(0))
+        other = nn.Linear(4, 3, rng=np.random.default_rng(1))
+        _load_weights(other, _save_weights(model, tmp_path / "checkpoint"))
+        assert np.array_equal(model.weight.numpy(), other.weight.numpy())
+        assert np.array_equal(model.bias.numpy(), other.bias.numpy())
+
+    def test_creates_parent_directories(self, tmp_path):
+        path = _save_weights(nn.Linear(2, 2), tmp_path / "deep" / "nested" / "model")
+        assert path.is_dir()
+        _load_weights(nn.Linear(2, 2), path)
+
+    def test_mismatched_architecture_lists_parameter_names(self, tmp_path):
+        """A wrong-architecture checkpoint names the offending parameters."""
+        path = _save_weights(nn.Linear(4, 3), tmp_path / "linear")
+        gru = nn.GRU(4, 3)
+        with pytest.raises(KeyError) as excinfo:
+            _load_weights(gru, path)
+        message = str(excinfo.value)
+        assert "missing=" in message and "unexpected=['bias', 'weight']" in message
+        assert all(name in message for name, _ in gru.named_parameters())
+
+    def test_shape_mismatch_rejected_before_any_write(self, tmp_path):
+        """Only the last layer differs: rejected up front, earlier layers untouched."""
+        path = _save_weights(_TwoLayer(out=2, seed=0), tmp_path / "narrow")
+        wide = _TwoLayer(out=5, seed=10)
+        before = wide.state_dict()
+        with pytest.raises(ValueError, match="shape mismatch for 'fc2.weight'"):
+            _load_weights(wide, path)
+        after = wide.state_dict()
+        assert all(np.array_equal(before[k], after[k]) for k in before)
+
+    def test_mismatch_leaves_model_untouched(self, tmp_path):
+        path = _save_weights(nn.Linear(4, 3), tmp_path / "linear")
+        target = nn.GRU(4, 3)
+        before = target.state_dict()
+        with pytest.raises(KeyError):
+            _load_weights(target, path)
+        after = target.state_dict()
+        assert all(np.array_equal(before[k], after[k]) for k in before)
 
 
 class TestFormatTable:
