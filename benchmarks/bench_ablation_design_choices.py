@@ -11,10 +11,10 @@ keep the benchmark suite fast.
 import numpy as np
 
 from repro.core.awa import AWAConfig, AWATrainer
-from repro.core.pipeline import DeepSTUQConfig, DeepSTUQPipeline
 from repro.evaluation import format_rows, make_training_config, run_lambda_ablation
 from repro.evaluation.datasets import evaluation_windows, load_benchmark_splits
 from repro.metrics import point_metrics
+from repro.uq import DeepSTUQ
 
 
 def test_ablation_lambda_weight(benchmark, save_result, scale):
@@ -37,20 +37,12 @@ def test_ablation_awa_optimizer(benchmark, save_result, scale):
         for optimizer_name in ("adam", "sgd"):
             train, val, test = load_benchmark_splits("PEMS08", scale)
             config = make_training_config(scale, "PEMS08")
-            pipeline = DeepSTUQPipeline(
-                train.num_nodes,
-                DeepSTUQConfig(
-                    training=config,
-                    awa=AWAConfig(epochs=scale.awa_epochs, optimizer=optimizer_name),
-                    use_awa=False,
-                    use_calibration=False,
-                ),
-            )
-            pipeline.fit(train, val)
-            awa = AWATrainer(pipeline.trainer, AWAConfig(epochs=scale.awa_epochs, optimizer=optimizer_name))
+            method = DeepSTUQ(train.num_nodes, config=config, use_awa=False, use_calibration=False)
+            method.fit(train, val)
+            awa = AWATrainer(method.trainer, AWAConfig(epochs=scale.awa_epochs, optimizer=optimizer_name))
             awa.retrain(train)
             inputs, targets = evaluation_windows(test, scale)
-            metrics = point_metrics(pipeline.predict(inputs).mean, targets)
+            metrics = point_metrics(method.predict(inputs).mean, targets)
             results.append({"AWA optimizer": optimizer_name, **metrics})
         return results
 

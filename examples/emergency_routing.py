@@ -24,9 +24,10 @@ from typing import List, Sequence
 import networkx as nx
 import numpy as np
 
-from repro.core import AWAConfig, DeepSTUQConfig, DeepSTUQPipeline, TrainingConfig
+from repro.core import AWAConfig, TrainingConfig
 from repro.data import TrafficData, generate_traffic, train_val_test_split
 from repro.graph import corridor_network
+from repro.uq import DeepSTUQ
 from repro.utils import format_table
 
 
@@ -65,23 +66,21 @@ def main() -> None:
 
     # 2. Train DeepSTUQ.
     history, horizon = (6, 3) if args.fast else (12, 12)
-    pipeline = DeepSTUQPipeline(
+    method = DeepSTUQ(
         network.num_nodes,
-        DeepSTUQConfig(
-            training=TrainingConfig(
-                history=history, horizon=horizon, hidden_dim=8 if args.fast else 16,
-                embed_dim=3, epochs=4 if args.fast else 12,
-                mc_samples=3 if args.fast else 10, encoder_dropout=0.05,
-            ),
-            awa=AWAConfig(epochs=2 if args.fast else 4),
+        config=TrainingConfig(
+            history=history, horizon=horizon, hidden_dim=8 if args.fast else 16,
+            embed_dim=3, epochs=4 if args.fast else 12,
+            mc_samples=3 if args.fast else 10, encoder_dropout=0.05,
         ),
+        awa_config=AWAConfig(epochs=2 if args.fast else 4),
     )
     print("Training DeepSTUQ ...")
-    pipeline.fit(train, val)
+    method.fit(train, val)
 
     # 3. Forecast the situation right now (last available history window).
     current_history = test.values[-history:][None, :, :]
-    result = pipeline.predict(current_history)
+    result = method.predict(current_history)
     lower, upper = result.interval()
     mean, upper = result.mean[0], upper[0]
 

@@ -17,11 +17,12 @@ The script walks through the full public API:
    forecaster reproduces the predictions bit-identically;
 5. report the paper's point and uncertainty metrics.
 
-The low-level API is still available when you need stage-level control::
+The method itself is available when you need stage-level control::
 
-    from repro.core import DeepSTUQConfig, DeepSTUQPipeline
-    pipeline = DeepSTUQPipeline(traffic.num_nodes, DeepSTUQConfig(...))
-    pipeline.fit(train, val); result, targets = pipeline.predict_on(test)
+    from repro.core import TrainingConfig
+    from repro.uq import DeepSTUQ
+    method = DeepSTUQ(traffic.num_nodes, config=TrainingConfig(...), use_calibration=False)
+    method.fit(train, val); method.calibrate(val); result, targets = method.predict_on(test)
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ A Unified Approach" (ICDE 2023).  It contains:
 * ``repro.models`` — the AGCRN base model and the paper's point-prediction
   baselines.
 * ``repro.uq`` — uncertainty-quantification methods (MVE, MC dropout,
-  temperature scaling, FGE, conformal, CFRNN, ...) and the DeepSTUQ pipeline.
-* ``repro.core`` — the DeepSTUQ training stages: combined loss, AWA
-  re-training, temperature calibration, Monte-Carlo inference.
+  temperature scaling, FGE, conformal, CFRNN, ...) and DeepSTUQ itself.
+* ``repro.core`` — the parts of DeepSTUQ's training stages: combined loss,
+  AWA re-training, temperature calibration, Monte-Carlo inference.
 * ``repro.metrics`` / ``repro.evaluation`` — metrics and the experiment
   harness regenerating every table and figure of the paper.
 * ``repro.serving`` — request micro-batching, LRU prediction caching and a

@@ -1,6 +1,6 @@
 """DeepSTUQ core: the paper's primary contribution.
 
-The unified uncertainty-quantification pipeline consists of
+The unified uncertainty-quantification method is built from
 
 1. the **combined loss** (aleatoric NLL + L1 + weight-decay/KL term,
    Eqs. 8-9, 12, 14) in :mod:`repro.core.losses`;
@@ -10,9 +10,10 @@ The unified uncertainty-quantification pipeline consists of
 4. post-hoc **temperature-scaling calibration** (Eqs. 17-18) in
    :mod:`repro.core.calibration`;
 5. **Monte-Carlo inference** and the aleatoric/epistemic decomposition
-   (Eqs. 7, 19) in :mod:`repro.core.inference`;
-6. the three-stage :class:`~repro.core.pipeline.DeepSTUQPipeline` tying it
-   all together.
+   (Eqs. 7, 19) in :mod:`repro.core.inference`.
+
+The method that runs these as its three stages is
+:class:`repro.uq.DeepSTUQ`.
 """
 
 from repro.core.losses import (
@@ -31,7 +32,6 @@ from repro.core.inference import (
     ensemble_forecast,
     monte_carlo_forecast,
 )
-from repro.core.pipeline import DeepSTUQConfig, DeepSTUQPipeline
 
 __all__ = [
     "heteroscedastic_gaussian_loss",
@@ -48,6 +48,4 @@ __all__ = [
     "deterministic_forecast",
     "ensemble_forecast",
     "monte_carlo_forecast",
-    "DeepSTUQConfig",
-    "DeepSTUQPipeline",
 ]

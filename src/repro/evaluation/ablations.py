@@ -16,60 +16,56 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.awa import AWAConfig, AWATrainer
-from repro.core.pipeline import DeepSTUQConfig, DeepSTUQPipeline
+from repro.core.awa import AWATrainer
 from repro.evaluation.config import ExperimentScale, make_awa_config, make_training_config
 from repro.evaluation.datasets import evaluation_windows, load_benchmark_splits
 from repro.metrics import point_metrics, uncertainty_metrics
+from repro.uq.deepstuq import DeepSTUQ
 
 
-def _fit_pipeline(
+def _fit_deepstuq(
     dataset_name: str,
     scale: ExperimentScale,
     use_awa: bool,
     use_calibration: bool,
     lambda_weight: Optional[float] = None,
 ):
-    """Train a DeepSTUQ pipeline variant and return (pipeline, test windows)."""
+    """Train a DeepSTUQ variant and return (method, test windows)."""
     train, val, test = load_benchmark_splits(dataset_name, scale)
     config = make_training_config(scale, dataset_name)
     if lambda_weight is not None:
         config.lambda_weight = lambda_weight
-    pipeline_config = DeepSTUQConfig(
-        training=config,
-        awa=make_awa_config(scale),
+    method = DeepSTUQ(
+        train.num_nodes,
+        config=config,
+        awa_config=make_awa_config(scale),
         use_awa=use_awa,
         use_calibration=use_calibration,
     )
-    pipeline = DeepSTUQPipeline(train.num_nodes, pipeline_config)
-    pipeline.fit(train, val)
+    method.fit(train, val)
     inputs, targets = evaluation_windows(test, scale)
-    return pipeline, inputs, targets
+    return method, inputs, targets
 
 
 def run_awa_ablation(scale: ExperimentScale, datasets: Optional[Sequence[str]] = None) -> List[Dict]:
     """Table V: point metrics of the pre-trained model before and after AWA.
 
-    A single pipeline is pre-trained; its weights are snapshotted, evaluated,
-    then AWA re-training runs and the same model is evaluated again, exactly
-    mirroring the paper's "No AWA" vs "AWA" comparison.
+    A single DeepSTUQ model is pre-trained and evaluated, then AWA
+    re-training runs and the same model is evaluated again, exactly mirroring
+    the paper's "No AWA" vs "AWA" comparison.
     """
     datasets = datasets if datasets is not None else scale.datasets
     rows: List[Dict] = []
     for dataset_name in datasets:
         train, val, test = load_benchmark_splits(dataset_name, scale)
         config = make_training_config(scale, dataset_name)
-        pipeline_config = DeepSTUQConfig(
-            training=config, awa=make_awa_config(scale), use_awa=False, use_calibration=False
-        )
-        pipeline = DeepSTUQPipeline(train.num_nodes, pipeline_config)
-        pipeline.fit(train, val)
+        method = DeepSTUQ(train.num_nodes, config=config, use_awa=False, use_calibration=False)
+        method.fit(train, val)
         inputs, targets = evaluation_windows(test, scale)
 
-        before = point_metrics(pipeline.predict(inputs).mean, targets)
-        awa = AWATrainer(pipeline.trainer, make_awa_config(scale))
-        awa.retrain(train)
-        after = point_metrics(pipeline.predict(inputs).mean, targets)
+        before = point_metrics(method.predict(inputs).mean, targets)
+        AWATrainer(method.trainer, make_awa_config(scale)).retrain(train)
+        after = point_metrics(method.predict(inputs).mean, targets)
 
         for metric in ("MAE", "RMSE", "MAPE"):
             rows.append(
@@ -92,17 +88,19 @@ def run_calibration_ablation(
     for dataset_name in datasets:
         train, val, test = load_benchmark_splits(dataset_name, scale)
         config = make_training_config(scale, dataset_name)
-        pipeline_config = DeepSTUQConfig(
-            training=config, awa=make_awa_config(scale), use_awa=True, use_calibration=False
+        method = DeepSTUQ(
+            train.num_nodes,
+            config=config,
+            awa_config=make_awa_config(scale),
+            use_calibration=False,
         )
-        pipeline = DeepSTUQPipeline(train.num_nodes, pipeline_config)
-        pipeline.fit(train, val)
+        method.fit(train, val)
         inputs, targets = evaluation_windows(test, scale)
 
-        uncalibrated = pipeline.predict(inputs)
+        uncalibrated = method.predict(inputs)
         before = uncertainty_metrics(targets, uncalibrated.mean, uncalibrated.std)
-        pipeline.calibrate(val)
-        calibrated = pipeline.predict(inputs)
+        method.calibrate(val)
+        calibrated = method.predict(inputs)
         after = uncertainty_metrics(targets, calibrated.mean, calibrated.std)
 
         for metric in ("MNLL", "PICP", "MPIW"):
@@ -112,7 +110,7 @@ def run_calibration_ablation(
                     "Metric": metric,
                     "No Calibration": before[metric],
                     "Calibration": after[metric],
-                    "Temperature": pipeline.calibrator.temperature,
+                    "Temperature": method.temperature,
                 }
             )
     return rows
@@ -124,10 +122,10 @@ def run_mc_sample_ablation(
     sample_counts: Sequence[int] = (1, 3, 5, 10, 15),
 ) -> List[Dict]:
     """Fig. 11: point metrics of DeepSTUQ vs the number of MC samples."""
-    pipeline, inputs, targets = _fit_pipeline(dataset_name, scale, use_awa=True, use_calibration=True)
+    method, inputs, targets = _fit_deepstuq(dataset_name, scale, use_awa=True, use_calibration=True)
     rows: List[Dict] = []
     for count in sample_counts:
-        result = pipeline.predict(inputs, num_samples=count, rng=np.random.default_rng(1234))
+        result = method.predict(inputs, num_samples=count, rng=np.random.default_rng(1234))
         metrics = point_metrics(result.mean, targets)
         rows.append(
             {
@@ -149,10 +147,10 @@ def run_lambda_ablation(
     """Extension ablation: sensitivity of DeepSTUQ to the combined-loss weight."""
     rows: List[Dict] = []
     for lambda_weight in lambda_values:
-        pipeline, inputs, targets = _fit_pipeline(
+        method, inputs, targets = _fit_deepstuq(
             dataset_name, scale, use_awa=False, use_calibration=True, lambda_weight=lambda_weight
         )
-        result = pipeline.predict(inputs)
+        result = method.predict(inputs)
         point = point_metrics(result.mean, targets)
         interval = uncertainty_metrics(targets, result.mean, result.std)
         rows.append(

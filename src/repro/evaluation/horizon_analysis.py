@@ -7,12 +7,12 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.losses import point_l1_loss
-from repro.core.pipeline import DeepSTUQConfig, DeepSTUQPipeline
 from repro.core.trainer import Trainer
 from repro.evaluation.config import ExperimentScale, make_awa_config, make_training_config
 from repro.evaluation.datasets import evaluation_windows, load_benchmark_splits
 from repro.metrics import per_horizon_metrics, per_horizon_uncertainty
 from repro.models import AGCRN
+from repro.uq.deepstuq import DeepSTUQ
 
 
 def run_horizon_point_analysis(
@@ -55,10 +55,9 @@ def run_horizon_point_analysis(
         )
 
         # DeepSTUQ (solid lines in Fig. 7).
-        pipeline_config = DeepSTUQConfig(training=config, awa=make_awa_config(scale))
-        pipeline = DeepSTUQPipeline(train.num_nodes, pipeline_config)
-        pipeline.fit(train, val)
-        result = pipeline.predict(inputs)
+        method = DeepSTUQ(train.num_nodes, config=config, awa_config=make_awa_config(scale))
+        method.fit(train, val)
+        result = method.predict(inputs)
         records.append(
             {
                 "Dataset": dataset_name,
@@ -78,11 +77,10 @@ def run_horizon_uncertainty_analysis(
     for dataset_name in datasets:
         train, val, test = load_benchmark_splits(dataset_name, scale)
         config = make_training_config(scale, dataset_name)
-        pipeline_config = DeepSTUQConfig(training=config, awa=make_awa_config(scale))
-        pipeline = DeepSTUQPipeline(train.num_nodes, pipeline_config)
-        pipeline.fit(train, val)
+        method = DeepSTUQ(train.num_nodes, config=config, awa_config=make_awa_config(scale))
+        method.fit(train, val)
         inputs, _ = evaluation_windows(test, scale)
-        result = pipeline.predict(inputs)
+        result = method.predict(inputs)
         curves = per_horizon_uncertainty(
             result.aleatoric_std, result.epistemic_std, interval_minutes=5
         )

@@ -7,19 +7,18 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.pipeline import DeepSTUQConfig, DeepSTUQPipeline
 from repro.evaluation.config import ExperimentScale, make_awa_config, make_training_config
 from repro.evaluation.datasets import evaluation_windows, load_benchmark_splits
 from repro.metrics import picp
+from repro.uq.deepstuq import DeepSTUQ
 
 
-def _fit_pipeline(dataset_name: str, scale: ExperimentScale):
+def _fit_deepstuq(dataset_name: str, scale: ExperimentScale):
     train, val, test = load_benchmark_splits(dataset_name, scale)
     config = make_training_config(scale, dataset_name)
-    pipeline_config = DeepSTUQConfig(training=config, awa=make_awa_config(scale))
-    pipeline = DeepSTUQPipeline(train.num_nodes, pipeline_config)
-    pipeline.fit(train, val)
-    return pipeline, test
+    method = DeepSTUQ(train.num_nodes, config=config, awa_config=make_awa_config(scale))
+    method.fit(train, val)
+    return method, test
 
 
 def run_interval_trajectory(
@@ -35,9 +34,9 @@ def run_interval_trajectory(
     Returns the time series (lists) for the selected sensor plus the PICP of
     the plotted stretch.
     """
-    pipeline, test = _fit_pipeline(dataset_name, scale)
+    method, test = _fit_deepstuq(dataset_name, scale)
     inputs, targets = evaluation_windows(test, scale)
-    result = pipeline.predict(inputs)
+    result = method.predict(inputs)
     rng = np.random.default_rng(seed)
     node = int(rng.integers(test.num_nodes)) if node is None else node
     count = min(max_points, result.mean.shape[0])
@@ -67,9 +66,9 @@ def run_uncertainty_decomposition(
     seed: int = 0,
 ) -> Dict:
     """Fig. 9: total / aleatoric / epistemic uncertainty over a short stretch."""
-    pipeline, test = _fit_pipeline(dataset_name, scale)
+    method, test = _fit_deepstuq(dataset_name, scale)
     inputs, targets = evaluation_windows(test, scale)
-    result = pipeline.predict(inputs)
+    result = method.predict(inputs)
     rng = np.random.default_rng(seed)
     node = int(rng.integers(test.num_nodes)) if node is None else node
     count = min(max_points, result.mean.shape[0])

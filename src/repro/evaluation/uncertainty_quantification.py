@@ -28,7 +28,12 @@ def evaluate_uq_method(
     if method.uncertainty_type == "no":
         metrics.update({"MNLL": float("nan"), "PICP": float("nan"), "MPIW": float("nan")})
         return metrics
-    lower, upper = result.interval()
+    # Distribution-free methods are scored on their own (possibly
+    # asymmetric) bounds, not on a Gaussian interval re-centred on the mean.
+    if result.has_native_bounds:
+        lower, upper = result.lower, result.upper
+    else:
+        lower, upper = result.interval()
     bundle = uncertainty_metrics(targets, result.mean, result.std, lower=lower, upper=upper)
     if not method.gaussian_likelihood:
         bundle["MNLL"] = float("nan")

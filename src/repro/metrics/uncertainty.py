@@ -111,9 +111,9 @@ def conformal_quantile_level(
     ``ceil((n + 1)(1 - alpha)) / n``, capped at 1 — the level at which the
     empirical quantile of ``n`` nonconformity scores yields the
     distribution-free ``1 - alpha`` coverage guarantee.  Shared by the batch
-    conformal method and the streaming ACI calibrator so the correction can
-    never diverge between the two layers.  Elementwise over arrays (the
-    calibrator evaluates every stream and horizon at once); a float for
+    conformal methods (Conformal, CFRNN) and the streaming ACI calibrator so
+    the correction can never diverge between them.  Elementwise over arrays
+    (the calibrator evaluates every stream and horizon at once); a float for
     scalars.
     """
     count = np.asarray(n)

@@ -8,14 +8,14 @@ import numpy as np
 
 from repro.core.inference import PredictionResult
 from repro.core.trainer import TrainingConfig
-from repro.core.windowing import WindowedForecaster
-from repro.data.datasets import TrafficData
+from repro.data.datasets import SlidingWindowDataset, TrafficData
 from repro.data.scalers import StandardScaler
 from repro.models.base import ForecastModel
+from repro.models.registry import backbone_info, create_backbone
 from repro.utils.serialization import pack_state_arrays, unpack_state_arrays
 
 
-class UQMethod(WindowedForecaster):
+class UQMethod:
     """Base class: an uncertainty-aware forecaster over a fixed road network.
 
     Sub-classes set the class attributes ``name``, ``paradigm``,
@@ -58,25 +58,47 @@ class UQMethod(WindowedForecaster):
         self.num_nodes = num_nodes
         self.config = config if config is not None else TrainingConfig()
         self._rng = rng if rng is not None else np.random.default_rng(self.config.seed)
-        self._configure_backbone(backbone, backbone_kwargs, adjacency)
+        info = backbone_info(backbone)
+        if not info.trainable:
+            raise ValueError(
+                f"backbone {info.name!r} has no trainable parameters and cannot "
+                f"be trained by {self.name}; use it directly via "
+                "repro.models.create_backbone for naive-reference forecasts"
+            )
+        self.backbone_name = info.name
+        self.backbone_kwargs = dict(backbone_kwargs) if backbone_kwargs else {}
+        self.adjacency = (
+            np.asarray(adjacency, dtype=np.float64) if adjacency is not None else None
+        )
         self.scaler: Optional[StandardScaler] = None
         self.fitted = False
 
     # ------------------------------------------------------------------ #
     # Shared helpers
     # ------------------------------------------------------------------ #
-    @property
-    def window_config(self) -> TrainingConfig:
-        return self.config
+    def _fit_scaler(self, train_data: TrafficData) -> StandardScaler:
+        self.scaler = StandardScaler().fit(train_data.values)
+        return self.scaler
 
-    @property
-    def _display_name(self) -> str:
-        return self.name
+    def _windows(self, data: TrafficData) -> Tuple[np.ndarray, np.ndarray]:
+        """All sliding ``(inputs, targets)`` windows of a traffic series."""
+        dataset = SlidingWindowDataset(
+            data, history=self.config.history, horizon=self.config.horizon
+        )
+        return dataset.arrays()
+
+    def _scale_inputs(self, histories: np.ndarray) -> np.ndarray:
+        """Standardize raw history windows, refusing before the scaler exists."""
+        if self.scaler is None:
+            raise RuntimeError(f"{self.name} must be fitted before predicting")
+        return self.scaler.transform(np.asarray(histories, dtype=np.float64))
+
+    def _check_fitted(self) -> None:
+        if not self.fitted:
+            raise RuntimeError(f"{self.name} must be fitted before predicting")
 
     def _build_backbone(self, heads: Optional[Sequence[str]] = None) -> ForecastModel:
         """The configured base model with the requested (or required) heads."""
-        from repro.models.registry import create_backbone
-
         return create_backbone(
             self.backbone_name,
             num_nodes=self.num_nodes,
@@ -97,6 +119,15 @@ class UQMethod(WindowedForecaster):
     def predict(self, histories: np.ndarray) -> PredictionResult:
         """Probabilistic forecast for raw history windows (original scale)."""
         raise NotImplementedError
+
+    def predict_on(self, data: TrafficData, **kwargs):
+        """Forecast every sliding window of ``data``; returns (result, targets).
+
+        Keyword arguments are forwarded to :meth:`predict` (e.g.
+        ``num_samples`` for the Monte-Carlo methods).
+        """
+        inputs, targets = self._windows(data)
+        return self.predict(inputs, **kwargs), targets
 
     def serve(self, model_version: Optional[str] = None, **kwargs):
         """Build an (unstarted) :class:`~repro.serving.InferenceServer` over this method.
@@ -127,9 +158,8 @@ class UQMethod(WindowedForecaster):
             "backbone": self.backbone_name,
             "fitted": True,
         }
-        scaler_state = self._scaler_state()
-        if scaler_state is not None:
-            meta["scaler"] = scaler_state
+        if self.scaler is not None:
+            meta["scaler"] = {"mean": self.scaler.mean_, "std": self.scaler.std_}
         arrays: Dict[str, np.ndarray] = {}
         model = getattr(self, "model", None)
         if model is not None:
@@ -147,8 +177,17 @@ class UQMethod(WindowedForecaster):
         meta = state["meta"]
         arrays = state["arrays"]
         self._check_saved_method(meta)
-        self._check_saved_backbone(meta)
-        self._restore_scaler(meta.get("scaler"))
+        saved_backbone = meta.get("backbone", self.backbone_name)
+        if saved_backbone != self.backbone_name:
+            raise ValueError(
+                f"state was saved with backbone {saved_backbone!r}, "
+                f"cannot restore into {self.backbone_name!r}"
+            )
+        scaler_meta = meta.get("scaler")
+        if scaler_meta is not None:
+            self.scaler = StandardScaler()
+            self.scaler.mean_ = float(scaler_meta["mean"])
+            self.scaler.std_ = float(scaler_meta["std"])
         model_state = unpack_state_arrays("model.", arrays)
         if model_state:
             if getattr(self, "model", None) is None:

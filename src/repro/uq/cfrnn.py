@@ -18,7 +18,7 @@ from repro.core.inference import PredictionResult
 from repro.core.losses import point_l1_loss
 from repro.core.trainer import Trainer
 from repro.data.datasets import TrafficData
-from repro.metrics.uncertainty import Z_95
+from repro.metrics.uncertainty import Z_95, conformal_quantile_level
 from repro.models.base import ForecastModel
 from repro.tensor import Tensor, no_grad
 from repro.uq.base import UQMethod
@@ -85,9 +85,9 @@ class CFRNN(UQMethod):
         inputs, targets = self._windows(val_data)
         predictions = self._point_forecast(inputs)
         residuals = np.abs(targets - predictions)  # (B, H, N)
-        per_step_alpha = self.significance / self.config.horizon
-        n = residuals.shape[0] * residuals.shape[2]
-        level = min(np.ceil((n + 1) * (1.0 - per_step_alpha)) / n, 1.0)
+        level = conformal_quantile_level(
+            residuals.shape[0] * residuals.shape[2], self.significance / self.config.horizon
+        )
         self.horizon_widths = np.array(
             [np.quantile(residuals[:, step, :].reshape(-1), level) for step in range(self.config.horizon)]
         )

@@ -7,12 +7,6 @@ scores ``r_i = |y_i - mu(x_i)| / sigma(x_i)``, whose finite-sample-corrected
 ``mu(x) +- q * sigma(x)``.  The resulting coverage guarantee is
 distribution-free, but the interval is reported through the shared Gaussian
 interface by converting the half-width back into a pseudo standard deviation.
-
-Forecast error grows with lead time, so a single quantile over all
-step-aheads over-covers short horizons and under-covers long ones;
-``per_horizon=True`` computes one quantile per step-ahead instead (the same
-shape of state the streaming
-:class:`~repro.streaming.aci.AdaptiveConformalCalibrator` adapts online).
 """
 
 from __future__ import annotations
@@ -28,28 +22,18 @@ from repro.uq.mve import MVE
 
 
 class LocallyWeightedConformal(MVE):
-    """MVE conformalized on the validation split.
-
-    With ``per_horizon=True`` the calibration computes one quantile per
-    step-ahead (``conformal_quantile`` becomes a ``(horizon,)`` array);
-    the default single-quantile behaviour is unchanged.
-    """
+    """MVE conformalized on the validation split."""
 
     name = "Conformal"
     paradigm = "frequentist"
     uncertainty_type = "aleatoric"
 
-    def __init__(
-        self, *args, significance: float = 0.05, per_horizon: bool = False, **kwargs
-    ) -> None:
+    def __init__(self, *args, significance: float = 0.05, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         if not 0.0 < significance < 1.0:
             raise ValueError("significance must lie in (0, 1)")
         self.significance = significance
-        self.per_horizon = bool(per_horizon)
-        self.conformal_quantile: Any = (
-            np.ones(self.config.horizon, dtype=np.float64) if self.per_horizon else 1.0
-        )
+        self.conformal_quantile = 1.0
 
     def fit(self, train_data: TrafficData, val_data: TrafficData) -> "LocallyWeightedConformal":
         super().fit(train_data, val_data)
@@ -57,62 +41,24 @@ class LocallyWeightedConformal(MVE):
         result = super().predict(inputs)
         sigma = np.maximum(result.aleatoric_std, 1e-6)
         scores = np.abs(targets - result.mean) / sigma  # (B, H, N)
-        if self.per_horizon:
-            # One conformal quantile per step-ahead, each over its B*N scores.
-            n = scores.shape[0] * scores.shape[2]
-            level = conformal_quantile_level(n, self.significance)
-            self.conformal_quantile = np.quantile(
-                scores.transpose(1, 0, 2).reshape(scores.shape[1], -1), level, axis=1
-            )
-        else:
-            level = conformal_quantile_level(scores.size, self.significance)
-            self.conformal_quantile = float(np.quantile(scores.reshape(-1), level))
+        level = conformal_quantile_level(scores.size, self.significance)
+        self.conformal_quantile = float(np.quantile(scores.reshape(-1), level))
         return self
-
-    def _quantile_broadcast(self) -> Any:
-        """The quantile shaped to broadcast over ``(batch, horizon, nodes)``."""
-        if self.per_horizon:
-            return np.asarray(self.conformal_quantile).reshape(1, -1, 1)
-        return self.conformal_quantile
 
     def predict(self, histories: np.ndarray) -> PredictionResult:
         result = super().predict(histories)
         # Interval half-width is q * sigma; store it as a pseudo std so that
         # mean +- 1.96 * std reproduces the conformal interval.
-        pseudo_std = self._quantile_broadcast() * result.aleatoric_std / Z_95
+        pseudo_std = self.conformal_quantile * result.aleatoric_std / Z_95
         return result.replace_interval_std(pseudo_std)
 
     # ------------------------------------------------------------------ #
     def get_state(self) -> Dict[str, Any]:
         state = super().get_state()
-        state["meta"]["per_horizon"] = self.per_horizon
-        if self.per_horizon:
-            state["meta"]["conformal_quantile"] = None
-            state["arrays"]["conformal.quantiles"] = np.asarray(
-                self.conformal_quantile, dtype=np.float64
-            )
-        else:
-            state["meta"]["conformal_quantile"] = self.conformal_quantile
+        state["meta"]["conformal_quantile"] = self.conformal_quantile
         return state
 
     def set_state(self, state: Dict[str, Any]) -> "LocallyWeightedConformal":
         super().set_state(state)
-        saved_per_horizon = bool(state["meta"].get("per_horizon", False))
-        if saved_per_horizon != self.per_horizon:
-            raise ValueError(
-                f"state was saved with per_horizon={saved_per_horizon}, "
-                f"cannot restore into per_horizon={self.per_horizon}"
-            )
-        if self.per_horizon:
-            quantiles = np.asarray(
-                state["arrays"]["conformal.quantiles"], dtype=np.float64
-            )
-            if quantiles.shape != (self.config.horizon,):
-                raise ValueError(
-                    f"saved per-horizon quantiles have shape {quantiles.shape}, "
-                    f"expected ({self.config.horizon},)"
-                )
-            self.conformal_quantile = quantiles.copy()
-        else:
-            self.conformal_quantile = float(state["meta"]["conformal_quantile"])
+        self.conformal_quantile = float(state["meta"]["conformal_quantile"])
         return self

@@ -24,9 +24,9 @@ class TemperatureScaledMVE(MVE):
     paradigm = "frequentist"
     uncertainty_type = "aleatoric"
 
-    def __init__(self, *args, calibration_max_iter: int = 500, **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.calibrator = TemperatureCalibrator(max_iter=calibration_max_iter)
+        self.calibrator = TemperatureCalibrator()
 
     def fit(self, train_data: TrafficData, val_data: TrafficData) -> "TemperatureScaledMVE":
         super().fit(train_data, val_data)

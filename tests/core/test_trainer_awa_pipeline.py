@@ -1,13 +1,13 @@
 """Tests for the Trainer, AWA re-training and the three-stage DeepSTUQ pipeline."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.core import (
     AWAConfig,
     AWATrainer,
-    DeepSTUQConfig,
-    DeepSTUQPipeline,
     Trainer,
     TrainingConfig,
     combined_loss,
@@ -16,6 +16,7 @@ from repro.core import (
 from repro.data import TrafficData, generate_traffic, train_val_test_split
 from repro.graph import grid_network
 from repro.models import AGCRN
+from repro.uq import DeepSTUQ
 
 
 NUM_NODES = 9
@@ -163,65 +164,73 @@ class TestAWA:
         assert after < before * 1.5
 
 
+def _fit_counting_awa(method, train, val):
+    """Fit ``method``; returns how many times AWA re-training ran."""
+    with mock.patch.object(
+        AWATrainer, "retrain", autospec=True, side_effect=AWATrainer.retrain
+    ) as retrain:
+        method.fit(train, val)
+    return retrain.call_count
+
+
 class TestDeepSTUQPipeline:
     @pytest.fixture(scope="class")
     def fitted_pipeline(self):
         traffic = _traffic(num_steps=700, seed=3)
         train, val, test = train_val_test_split(traffic)
-        config = DeepSTUQConfig(
-            training=_config(epochs=2, mc_samples=4),
-            awa=AWAConfig(epochs=2),
+        method = DeepSTUQ(
+            NUM_NODES, config=_config(epochs=2, mc_samples=4), awa_config=AWAConfig(epochs=2)
         )
-        pipeline = DeepSTUQPipeline(NUM_NODES, config)
-        pipeline.fit(train, val)
-        return pipeline, test
+        awa_runs = _fit_counting_awa(method, train, val)
+        return method, test, awa_runs
 
     def test_stages_recorded(self, fitted_pipeline):
-        pipeline, _ = fitted_pipeline
-        assert set(pipeline.stage_history) == {"pretraining", "awa", "calibration"}
-        assert pipeline.fitted
+        method, _, awa_runs = fitted_pipeline
+        assert awa_runs == 1
+        assert method.calibrator.fitted
+        assert method.fitted
 
     def test_temperature_is_positive(self, fitted_pipeline):
-        pipeline, _ = fitted_pipeline
-        assert pipeline.calibrator.temperature > 0
+        method, _, _ = fitted_pipeline
+        assert method.calibrator.temperature > 0
 
     def test_prediction_shapes_and_decomposition(self, fitted_pipeline):
-        pipeline, test = fitted_pipeline
-        result, targets = pipeline.predict_on(test.slice_steps(0, 120))
+        method, test, _ = fitted_pipeline
+        result, targets = method.predict_on(test.slice_steps(0, 120))
         assert result.mean.shape == targets.shape
         assert np.all(result.aleatoric_var >= 0)
         assert np.all(result.epistemic_var >= 0)
         assert result.aleatoric_var.mean() > result.epistemic_var.mean()
 
     def test_single_pass_prediction(self, fitted_pipeline):
-        pipeline, test = fitted_pipeline
-        inputs, targets = pipeline._windows(test.slice_steps(0, 80))
-        result = pipeline.predict_single_pass(inputs)
+        method, test, _ = fitted_pipeline
+        inputs, targets = method._windows(test.slice_steps(0, 80))
+        result = method.predict_single_pass(inputs)
         assert result.mean.shape == targets.shape
         assert np.allclose(result.epistemic_var, 0.0)
 
     def test_mc_prediction_reproducible(self, fitted_pipeline):
-        pipeline, test = fitted_pipeline
-        inputs, _ = pipeline._windows(test.slice_steps(0, 60))
-        a = pipeline.predict(inputs, num_samples=3, rng=np.random.default_rng(0))
-        b = pipeline.predict(inputs, num_samples=3, rng=np.random.default_rng(0))
+        method, test, _ = fitted_pipeline
+        inputs, _ = method._windows(test.slice_steps(0, 60))
+        a = method.predict(inputs, num_samples=3, rng=np.random.default_rng(0))
+        b = method.predict(inputs, num_samples=3, rng=np.random.default_rng(0))
         assert np.allclose(a.mean, b.mean)
 
     def test_predict_before_fit_raises(self):
-        pipeline = DeepSTUQPipeline(NUM_NODES, DeepSTUQConfig(training=_config()))
+        method = DeepSTUQ(NUM_NODES, config=_config())
         with pytest.raises(RuntimeError):
-            pipeline.predict(np.zeros((1, 6, NUM_NODES)))
+            method.predict(np.zeros((1, 6, NUM_NODES)))
 
     def test_ablation_flags(self):
         traffic = _traffic(num_steps=500, seed=4)
         train, val, _ = train_val_test_split(traffic)
-        config = DeepSTUQConfig(
-            training=_config(epochs=1, mc_samples=2),
-            awa=AWAConfig(epochs=2),
+        method = DeepSTUQ(
+            NUM_NODES,
+            config=_config(epochs=1, mc_samples=2),
+            awa_config=AWAConfig(epochs=2),
             use_awa=False,
             use_calibration=False,
         )
-        pipeline = DeepSTUQPipeline(NUM_NODES, config)
-        pipeline.fit(train, val)
-        assert "awa" not in pipeline.stage_history
-        assert pipeline.calibrator.temperature == 1.0
+        assert _fit_counting_awa(method, train, val) == 0
+        assert not method.calibrator.fitted
+        assert method.calibrator.temperature == 1.0

@@ -24,7 +24,9 @@ from repro.evaluation.uncertainty_quantification import (
     evaluate_uq_method,
     run_uncertainty_quantification,
 )
+from repro.core.inference import PredictionResult
 from repro.graph import grid_network
+from repro.metrics import Z_95
 
 
 TINY = ExperimentScale(
@@ -117,6 +119,29 @@ class TestUncertaintyRunner:
         assert np.isfinite(mve["MNLL"]) and np.isfinite(mve["PICP"])
         point = next(row for row in rows if row["Method"] == "Point")
         assert np.isnan(point["PICP"])
+
+    def test_native_bounds_are_scored(self):
+        """Asymmetric bounds are scored as given, not re-centred on the mean."""
+
+        class SkewedBounds:
+            # [mean + 1, mean + 3] holds every target; the Gaussian interval of
+            # the same width, mean +- 1, holds none.
+            uncertainty_type = "aleatoric"
+            gaussian_likelihood = False
+
+            def predict(self, inputs):
+                mean = np.zeros((4, 3, 2))
+                return PredictionResult(
+                    mean=mean,
+                    aleatoric_var=np.full_like(mean, (1.0 / Z_95) ** 2),
+                    epistemic_var=np.zeros_like(mean),
+                    lower=mean + 1.0,
+                    upper=mean + 3.0,
+                )
+
+        metrics = evaluate_uq_method(SkewedBounds(), np.zeros((4, 6, 2)), np.full((4, 3, 2), 2.0))
+        assert metrics["PICP"] == 100.0
+        assert metrics["MPIW"] == pytest.approx(2.0)
 
     def test_best_method_per_dataset(self):
         rows = [

@@ -134,15 +134,6 @@ class TestAdam:
         assert F.mse_loss(layer(Tensor(x)), Tensor(y)).item() < 0.01
 
 
-class TestLBFGS:
-    def test_minimize_scalar_lbfgs(self):
-        # minimize (x - 3)^2
-        def objective(x):
-            return (x - 3.0) ** 2, 2.0 * (x - 3.0)
-
-        assert math.isclose(optim.minimize_scalar_lbfgs(objective, x0=0.0), 3.0, rel_tol=1e-5)
-
-
 class TestSchedulers:
     def _opt(self):
         return optim.SGD(nn.Linear(2, 1).parameters(), lr=0.1)
