@@ -4,7 +4,9 @@ Every benchmark regenerates one table or figure of the paper.  Because the
 interesting output is the regenerated rows/series (not only the timing), each
 benchmark calls :func:`save_result` which writes the formatted text to
 ``benchmarks/results/<name>.txt`` and echoes it to stdout (visible with
-``pytest -s`` and referenced from EXPERIMENTS.md).
+``pytest -s`` and referenced from EXPERIMENTS.md).  Smoke runs write to the
+git-ignored ``benchmarks/results/unit/`` instead, so they never rewrite a
+committed result.
 
 Select the run size with the ``REPRO_SCALE`` environment variable
 (``unit`` for a smoke run, ``bench`` — the default — for the CPU-sized
@@ -24,9 +26,10 @@ RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    return RESULTS_DIR
+def results_dir(scale) -> Path:
+    directory = RESULTS_DIR / "unit" if scale.name == "unit" else RESULTS_DIR
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory
 
 
 @pytest.fixture(scope="session")

@@ -38,14 +38,17 @@ class TemperatureCalibrator:
     def closed_form_temperature(
         target: np.ndarray, mean: np.ndarray, variance: np.ndarray
     ) -> float:
-        """Analytic minimizer of Eq. 18: ``T = sqrt(N / sum_i r_i)``."""
+        """Analytic minimizer of Eq. 18: ``T = sqrt(N / sum_i r_i)``.
+
+        Variances are floored at 1e-8, every entry alike, so one point's
+        variance never changes how the others count.
+        """
         target = np.asarray(target, dtype=np.float64)
         mean = np.asarray(mean, dtype=np.float64)
         variance = np.asarray(variance, dtype=np.float64)
         if target.shape != mean.shape or target.shape != variance.shape:
             raise ValueError("target, mean and variance must have identical shapes")
-        if np.any(variance <= 0):
-            variance = np.maximum(variance, 1e-8)
+        variance = np.maximum(variance, 1e-8)
         ratios = (target - mean) ** 2 / variance
         total = float(ratios.sum())
         if total <= 0:

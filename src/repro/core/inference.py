@@ -31,8 +31,8 @@ import numpy as np
 from repro.data.scalers import StandardScaler
 from repro.metrics.uncertainty import Z_95 as _Z_95, interval_bounds
 from repro.models.base import ForecastModel
-from repro.nn.dropout import reseed_dropout, sample_fold, set_mc_dropout
-from repro.tensor import Tensor, no_grad
+from repro.nn import inference
+from repro.tensor import Tensor
 
 
 @dataclass
@@ -211,8 +211,9 @@ class BatchedPredictor:
     Parameters
     ----------
     model:
-        A fitted model; dropout layers are toggled to MC mode per call and
-        restored afterwards.
+        A fitted model.  Every forward runs inside :func:`repro.nn.inference`
+        with its own mask streams and writes nothing to the model, so one
+        predictor (or many over one model) may serve concurrent calls.
     scaler:
         Maps scaled-space outputs back to the original data scale.
     temperature:
@@ -240,14 +241,8 @@ class BatchedPredictor:
     # ------------------------------------------------------------------ #
     def deterministic(self, scaled_inputs: np.ndarray) -> PredictionResult:
         """Single deterministic forward pass (dropout off)."""
-        was_training = self.model.training
-        self.model.eval()
-        try:
-            with no_grad():
-                outputs = _batched_forward(self.model, scaled_inputs, self.batch_size)
-        finally:
-            if was_training:
-                self.model.train()
+        with inference():
+            outputs = _batched_forward(self.model, scaled_inputs, self.batch_size)
         mean = self.scaler.inverse_transform(outputs["mean"])
         if "log_var" in outputs:
             aleatoric = self.scaler.inverse_transform_var(
@@ -274,20 +269,10 @@ class BatchedPredictor:
             raise ValueError("num_samples must be >= 1")
         rng = rng if rng is not None else np.random.default_rng()
         streams = _sample_streams(rng, num_samples)
-
-        was_training = self.model.training
-        self.model.eval()
-        set_mc_dropout(self.model, True)
-        try:
-            with no_grad():
-                if vectorized:
-                    outputs = self._folded_forward(scaled_inputs, streams)
-                else:
-                    outputs = self._looped_forward(scaled_inputs, streams)
-        finally:
-            set_mc_dropout(self.model, False)
-            if was_training:
-                self.model.train()
+        if vectorized:
+            outputs = self._folded_forward(scaled_inputs, streams)
+        else:
+            outputs = self._looped_forward(scaled_inputs, streams)
         return self._decompose(outputs, num_samples)
 
     # ------------------------------------------------------------------ #
@@ -297,7 +282,7 @@ class BatchedPredictor:
         """All samples of each chunk in one forward; returns (S, B, H, N) heads."""
         num_samples = len(streams)
         collected: Dict[str, list] = {}
-        with sample_fold(self.model, streams):
+        with inference(streams):
             for start, stop in _chunks(scaled_inputs.shape[0], self.batch_size):
                 chunk = scaled_inputs[start:stop]
                 folded = np.concatenate([chunk] * num_samples, axis=0)
@@ -316,8 +301,8 @@ class BatchedPredictor:
         """Sequential reference: one full pass per sample; returns (S, B, H, N)."""
         collected: Dict[str, list] = {}
         for stream in streams:
-            reseed_dropout(self.model, stream)
-            outputs = _batched_forward(self.model, scaled_inputs, self.batch_size)
+            with inference(stream):
+                outputs = _batched_forward(self.model, scaled_inputs, self.batch_size)
             for name, data in outputs.items():
                 collected.setdefault(name, []).append(data)
         return {name: np.stack(parts, axis=0) for name, parts in collected.items()}
@@ -372,8 +357,7 @@ def monte_carlo_forecast(
     Parameters
     ----------
     model:
-        A model with dropout layers; MC mode is enabled for the duration of
-        the call (and restored afterwards).
+        A model with dropout layers; they sample masks for this call only.
     num_samples:
         Number of stochastic forward passes ``N_MC`` (the paper uses 10).
     temperature:

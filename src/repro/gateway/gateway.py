@@ -153,6 +153,25 @@ class Gateway:
         leaves those planes open (the local-dev default).
     """
 
+    #: ``(method, path) -> handler method name``: names, not bound methods,
+    #: so a gateway ties no reference cycle through its own route table.
+    _ROUTES: Dict[Tuple[str, str], str] = {
+        ("POST", "/predict"): "_handle_predict",
+        ("POST", "/observe"): "_handle_observe",
+        ("GET", "/snapshot"): "_handle_snapshot",
+        ("GET", "/metrics"): "_handle_metrics",
+        ("GET", "/healthz"): "_handle_healthz",
+        ("GET", "/trace"): "_handle_trace",
+        ("GET", "/profile"): "_handle_profile",
+        ("GET", "/alerts"): "_handle_alerts",
+        ("GET", "/tail"): "_handle_tail",
+        ("POST", "/admin/deploy"): "_handle_deploy",
+        ("POST", "/admin/promote"): "_handle_promote",
+        ("POST", "/admin/rollback"): "_handle_rollback",
+        ("GET", "/admin/routes"): "_handle_routes_get",
+        ("POST", "/admin/routes"): "_handle_routes_post",
+    }
+
     def __init__(
         self,
         server: Any,
@@ -187,22 +206,6 @@ class Gateway:
         self._shutting_down = False
         self._inflight = 0
         self._inflight_cond = threading.Condition()
-        self._routes: Dict[Tuple[str, str], Callable[..., Tuple[int, Any]]] = {
-            ("POST", "/predict"): self._handle_predict,
-            ("POST", "/observe"): self._handle_observe,
-            ("GET", "/snapshot"): self._handle_snapshot,
-            ("GET", "/metrics"): self._handle_metrics,
-            ("GET", "/healthz"): self._handle_healthz,
-            ("GET", "/trace"): self._handle_trace,
-            ("GET", "/profile"): self._handle_profile,
-            ("GET", "/alerts"): self._handle_alerts,
-            ("GET", "/tail"): self._handle_tail,
-            ("POST", "/admin/deploy"): self._handle_deploy,
-            ("POST", "/admin/promote"): self._handle_promote,
-            ("POST", "/admin/rollback"): self._handle_rollback,
-            ("GET", "/admin/routes"): self._handle_routes_get,
-            ("POST", "/admin/routes"): self._handle_routes_post,
-        }
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -234,13 +237,8 @@ class Gateway:
             return self
         if hasattr(self.server, "start"):
             self.server.start()  # idempotent on a running server
-        gateway = self
-
-        class _BoundHandler(_Handler):
-            pass
-
-        _BoundHandler.gateway = gateway
-        httpd = ThreadingHTTPServer((self.host, int(port)), _BoundHandler)
+        httpd = ThreadingHTTPServer((self.host, int(port)), _Handler)
+        httpd.gateway = self  # what handlers serve; stop() drops the httpd
         httpd.daemon_threads = True
         # Never join handler threads in server_close(): stop() already does a
         # bounded drain, and an unbounded join would defeat it.
@@ -305,10 +303,10 @@ class Gateway:
             self._inflight_cond.notify_all()
 
     def _resolve(self, method: str, path: str) -> Callable[..., Tuple[int, Any]]:
-        handler = self._routes.get((method, path))
+        handler = self._ROUTES.get((method, path))
         if handler is not None:
-            return handler
-        if any(known_path == path for _, known_path in self._routes):
+            return getattr(self, handler)
+        if any(known_path == path for _, known_path in self._ROUTES):
             raise ApiError(405, f"{method} is not supported on {path}")
         raise ApiError(404, f"no such endpoint: {path}")
 
@@ -760,14 +758,17 @@ class Gateway:
 class _Handler(BaseHTTPRequestHandler):
     """Per-connection handler; every response is JSON (or metrics text)."""
 
-    #: Bound by :meth:`Gateway.start` on a per-gateway subclass.
-    gateway: Gateway = None  # type: ignore[assignment]
     protocol_version = "HTTP/1.1"
     server_version = "repro-gateway"
     # Responses go out as two small writes (header flush, then body).  On a
     # long-lived keep-alive connection Nagle would hold the second write for
     # the peer's delayed ACK (~40 ms per request once quick-ACK wears off).
     disable_nagle_algorithm = True
+
+    @property
+    def gateway(self) -> Gateway:
+        """The gateway :meth:`Gateway.start` bound to this handler's HTTP server."""
+        return self.server.gateway
 
     def log_message(self, fmt: str, *args: Any) -> None:  # pragma: no cover
         pass  # metrics carry the signal; stderr noise helps nobody
@@ -917,7 +918,7 @@ class _Handler(BaseHTTPRequestHandler):
             with span:
                 self._dispatch_inner(method, path, query, span)
         finally:
-            route = path if (method, path) in gateway._routes else "<unmatched>"
+            route = path if (method, path) in gateway._ROUTES else "<unmatched>"
             gateway.metrics.record(route, self._status, time.perf_counter() - started)
             gateway._exit_request()
 

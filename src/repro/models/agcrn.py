@@ -183,18 +183,6 @@ class AGCRN(ForecastModel):
         return outputs
 
     # ------------------------------------------------------------------ #
-    def set_mc_dropout(self, enabled: bool) -> int:
-        """Toggle Monte-Carlo dropout on every dropout layer; returns the count."""
-        from repro.nn.dropout import set_mc_dropout
-
-        return set_mc_dropout(self, enabled)
-
-    def reseed_dropout(self, rng: np.random.Generator) -> None:
-        """Reseed all dropout layers (reproducible MC sampling)."""
-        for module in self.modules():
-            if isinstance(module, nn.Dropout):
-                module.reseed(rng)
-
     def learned_adjacency(self) -> np.ndarray:  # repro: noqa[unused/symbol] view of the adaptive graph
         """The current learned propagation matrix (for inspection/plots)."""
         return self.adaptive_adjacency().numpy()

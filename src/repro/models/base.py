@@ -6,8 +6,8 @@ from typing import Union
 
 import numpy as np
 
-from repro.nn.module import Module
-from repro.tensor import Tensor, no_grad
+from repro.nn.module import Module, inference
+from repro.tensor import Tensor
 
 
 class ForecastModel(Module):
@@ -50,18 +50,12 @@ class ForecastModel(Module):
         return tensor
 
     def predict(self, inputs: Union[np.ndarray, Tensor]) -> np.ndarray:
-        """Deterministic point forecast as a NumPy array (eval mode, no grad).
+        """Deterministic point forecast as a NumPy array (dropout off, no grad).
 
         For probabilistic models the ``mean`` head is returned.
         """
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                output = self.forward(self._validate_input(inputs))
-        finally:
-            if was_training:
-                self.train()
+        with inference():
+            output = self.forward(self._validate_input(inputs))
         if isinstance(output, dict):
             output = output["mean"]
         return output.numpy()

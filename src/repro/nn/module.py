@@ -5,16 +5,63 @@ registered automatically on attribute assignment, ``parameters()`` walks the
 tree, ``state_dict()`` / ``load_state_dict()`` serialize weights as plain
 NumPy arrays, and ``train()`` / ``eval()`` toggle the training flag used by
 dropout and batch normalization.
+
+Prediction does not use that flag.  It runs inside :func:`inference`, a
+thread-local mode in the pattern of :func:`~repro.tensor.no_grad`, so a
+forward writes nothing to the modules and any number of threads can run
+forwards over one shared model at once.
 """
 
 from __future__ import annotations
 
+import contextlib
+import threading
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.tensor import Tensor
+from repro.tensor import Tensor, no_grad
+
+# Inference mode is *thread-local*, like grad mode: the server runs the
+# forwards of two micro-batches at once over one shared model, each on its
+# own worker thread and each with its own dropout streams.
+_INFERENCE = threading.local()
+
+#: What :func:`inference` accepts as ``streams``.
+Streams = Union[np.random.Generator, Sequence[np.random.Generator]]
+
+
+@contextlib.contextmanager
+def inference(streams: Optional[Streams] = None):
+    """Run this thread's forwards as inference: eval-mode layers, no tape.
+
+    Inside the block :class:`~repro.nn.Dropout` and
+    :class:`~repro.nn.BatchNorm1d` act as in eval mode whatever a module's
+    ``training`` flag says, and no operation is recorded for autodiff.  With
+    ``streams`` given, dropout stays on (MC dropout) and draws its masks
+    from them: one generator, which every layer draws from in call order,
+    or one generator per MC sample folded into the batch axis (see
+    :func:`~repro.tensor.functional.dropout_mask`).  Other threads keep
+    their own mode, and no module is written to.
+    """
+    previous = (in_inference(), inference_streams())
+    _INFERENCE.active, _INFERENCE.streams = True, streams
+    try:
+        with no_grad():
+            yield
+    finally:
+        _INFERENCE.active, _INFERENCE.streams = previous
+
+
+def in_inference() -> bool:
+    """Whether this thread is inside an :func:`inference` block."""
+    return getattr(_INFERENCE, "active", False)
+
+
+def inference_streams() -> Optional[Streams]:
+    """The dropout streams of this thread's innermost :func:`inference` block."""
+    return getattr(_INFERENCE, "streams", None)
 
 
 class Parameter(Tensor):

@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from repro.nn import init
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Module, Parameter, in_inference
 from repro.tensor import Tensor
 
 
@@ -20,7 +20,8 @@ class BatchNorm1d(Module):
     """Normalize the last (feature) axis over all leading axes.
 
     Running estimates of mean and variance are maintained with exponential
-    smoothing for use in evaluation mode; :meth:`reset_running_stats` clears
+    smoothing for use in evaluation mode and inside
+    :func:`~repro.nn.inference`; :meth:`reset_running_stats` clears
     them, which is what the AWA re-training loop calls before re-estimating
     statistics for the averaged weights.
     """
@@ -48,7 +49,7 @@ class BatchNorm1d(Module):
             raise ValueError(
                 f"BatchNorm1d expected {self.num_features} features, got shape {x.shape}"
             )
-        if self.training:
+        if self.training and not in_inference():
             axes = tuple(range(x.ndim - 1))
             batch_mean = x.data.mean(axis=axes)
             batch_var = x.data.var(axis=axes)

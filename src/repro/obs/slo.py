@@ -57,6 +57,7 @@ from __future__ import annotations
 import fnmatch
 import math
 import threading
+import weakref
 from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -581,9 +582,17 @@ def fleet_source(fleet: Any):
     the per-stream logs — zero-drop SLOs watch
     ``events.stream_predict_failed``.  The counters are the logs' own
     per-kind counts, so a sample costs the same however long the logs grow.
+
+    The source holds the fleet weakly (the fleet keeps the engine, so a
+    strong reference would be a cycle only the cyclic collector frees); once
+    the fleet is gone it samples nothing.
     """
+    fleet_ref = weakref.ref(fleet)
 
     def sample() -> Dict[str, float]:
+        fleet = fleet_ref()
+        if fleet is None:
+            return {}
         values: Dict[str, float] = {"tick": float(fleet._tick)}
         for kind, count in fleet.event_log.counts.items():
             values[f"events.{kind}"] = float(count)
@@ -603,9 +612,16 @@ def fleet_source(fleet: Any):
 
 
 def gateway_source(gateway: Any):
-    """Request totals + per-route p99 latency from the gateway's metrics."""
+    """Request totals + per-route p99 latency from the gateway's metrics.
+
+    Holds the gateway weakly, as :func:`fleet_source` holds its fleet.
+    """
+    gateway_ref = weakref.ref(gateway)
 
     def sample() -> Dict[str, float]:
+        gateway = gateway_ref()
+        if gateway is None:
+            return {}
         metrics = gateway.metrics
         snapshot = metrics.snapshot()
         values: Dict[str, float] = {

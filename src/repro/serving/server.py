@@ -13,7 +13,9 @@ named, versioned deployments with a concurrent serving endpoint:
 3. windows already in the shared, deployment-namespaced cache are answered
    without touching a model; duplicates within a batch run the model once;
 4. the remaining unique windows are stacked per deployment and pushed through
-   the model on a thread pool (NumPy releases the GIL inside the heavy ops);
+   the model on a thread pool of ``num_workers`` threads, so the forwards of
+   that many micro-batches run at once (NumPy releases the interpreter lock
+   inside array operations and GEMMs);
 5. shadow deployments see mirrored copies of the same batches — their
    predictions feed rolling divergence metrics and warm their cache
    namespace, but never touch a client future.
@@ -22,6 +24,12 @@ The single-model shape ``InferenceServer(predict_fn, model_version=...)``
 is a pool with exactly one deployment on the default route; re-deploying it,
 ``server.deploy(server.pool.default_name, model, version=...)``, hot-swaps
 it in place.
+
+Deployed predict functions must be thread-safe: the server calls one from
+several workers at once, with no lock around it.  Every predict path in
+:mod:`repro` is, because a forward keeps its dropout mode and mask streams
+in the thread-local :func:`repro.nn.inference` context and writes nothing
+to the model.
 """
 
 from __future__ import annotations
@@ -76,12 +84,11 @@ class InferenceServer:
         **Global** cache budget in windows, shared across all deployments
         with fair-share eviction; ``0`` disables caching.
     num_workers:
-        Thread-pool width for batch post-processing (hashing, cache fills,
-        future resolution).  Model forward passes themselves are serialized
-        behind a lock regardless: the substrate's dropout/MC toggles live on
-        the shared module objects, so concurrent forwards over one model
-        would race on them.  (Grad mode is thread-local and is *not* part of
-        this constraint.)
+        Worker threads, each of which processes one micro-batch at a time:
+        cache lookups, the model forward and future resolution.  Up to
+        ``num_workers`` forwards run at once, over one deployment or
+        several, so every deployed predict function must be thread-safe
+        (see the module docstring).
     """
 
     #: Name of the deployment the single-model constructor registers.
@@ -109,16 +116,16 @@ class InferenceServer:
         self._dispatcher: Optional[threading.Thread] = None
         self._running = False
         self._lock = threading.Lock()
-        self._predict_lock = threading.Lock()
         # Every minted future until it resolves: the shutdown path fails
         # whatever is left here so no client blocks forever on a stuck model.
         self._futures_lock = threading.Lock()
         self._outstanding: set = set()
         self._stranded_requests = 0
         #: Chaos hook: called as ``fault_injector(deployment_name, stacked)``
-        #: right before each primary/shadow model pass.  Raising fails that
-        #: group's requests through the normal error path; blocking simulates
-        #: a hung model.  ``None`` (the default) is a no-op.
+        #: right before each primary/shadow model pass, on the worker thread
+        #: that runs it.  Raising fails that group's requests through the
+        #: normal error path; blocking simulates a hung model and stalls that
+        #: worker only.  ``None`` (the default) is a no-op.
         self.fault_injector: Optional[Callable[[str, np.ndarray], None]] = None
         self._requests_served = 0
         self._batches_dispatched = 0
@@ -534,15 +541,10 @@ class InferenceServer:
             stacked = np.stack(pending_windows, axis=0)
             injector = self.fault_injector
             if injector is not None:
-                # Outside the predict lock: a *blocking* injector must stall
-                # only this group's worker, not every deployment's forwards.
                 injector(deployment.name, stacked)
-            with self._predict_lock:
-                # Timed inside the lock: waiting for another group's forward
-                # is queueing, not this group's model time.
-                forward_start = time.perf_counter()
-                result = deployment.predict_fn(stacked)
-                forward_end = time.perf_counter()
+            forward_start = time.perf_counter()
+            result = deployment.predict_fn(stacked)
+            forward_end = time.perf_counter()
             model_interval = (forward_start, forward_end)
             if not shadow:
                 record_phase(

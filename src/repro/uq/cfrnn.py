@@ -14,13 +14,13 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from repro import nn
-from repro.core.inference import PredictionResult
+from repro.core.inference import PredictionResult, _batched_forward
 from repro.core.losses import point_l1_loss
 from repro.core.trainer import Trainer
 from repro.data.datasets import TrafficData
 from repro.metrics.uncertainty import Z_95, conformal_quantile_level
 from repro.models.base import ForecastModel
-from repro.tensor import Tensor, no_grad
+from repro.tensor import Tensor
 from repro.uq.base import UQMethod
 
 
@@ -95,18 +95,9 @@ class CFRNN(UQMethod):
         return self
 
     def _point_forecast(self, histories: np.ndarray) -> np.ndarray:
-        scaled = self._scale_inputs(histories)
-        was_training = self.model.training
-        self.model.eval()
-        try:
-            with no_grad():
-                chunks = []
-                for start in range(0, scaled.shape[0], 256):
-                    chunks.append(self.model(Tensor(scaled[start : start + 256])).numpy())
-        finally:
-            if was_training:
-                self.model.train()
-        return self.scaler.inverse_transform(np.concatenate(chunks, axis=0))
+        with nn.inference():
+            outputs = _batched_forward(self.model, self._scale_inputs(histories), batch_size=256)
+        return self.scaler.inverse_transform(outputs["mean"])
 
     # ------------------------------------------------------------------ #
     def _make_model_for_state(self) -> _VectorGRUForecaster:

@@ -5,12 +5,15 @@ down-swing per cycle) and a snapshot of the weights is stored at the end of
 every cycle; at test time the stored snapshots are evaluated as an ensemble
 whose mean and spread give the forecast and the epistemic uncertainty.
 Unlike AWA, all snapshots must be kept in memory — the cost the paper's AWA
-re-training removes.
+re-training removes.  Each snapshot is kept as its own model, as
+:class:`~repro.uq.deep_ensemble.DeepEnsemble` keeps its members, so a
+prediction reads weights and never loads them.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+import copy
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -18,6 +21,7 @@ from repro.core.inference import PredictionResult, deterministic_forecast
 from repro.core.losses import point_l1_loss
 from repro.core.trainer import Trainer
 from repro.data.datasets import TrafficData
+from repro.models.base import ForecastModel
 from repro.optim import Adam, CyclicCosineLR
 from repro.tensor import Tensor
 from repro.uq.base import UQMethod
@@ -37,7 +41,7 @@ class FGE(UQMethod):
             raise ValueError("need at least 2 snapshots and 1 epoch per cycle")
         self.num_snapshots = num_snapshots
         self.cycle_epochs = cycle_epochs
-        self.snapshots: List[Dict[str, np.ndarray]] = []
+        self.snapshots: List[ForecastModel] = []
 
     def fit(self, train_data: TrafficData, val_data: TrafficData) -> "FGE":
         self._fit_scaler(train_data)
@@ -71,7 +75,9 @@ class FGE(UQMethod):
                     if self.config.grad_clip is not None:
                         optimizer.clip_grad_norm(self.config.grad_clip)
                     optimizer.step()
-            self.snapshots.append(self.model.state_dict())
+            snapshot = copy.deepcopy(self.model)
+            snapshot.zero_grad()  # a snapshot keeps weights, not the last step's gradients
+            self.snapshots.append(snapshot)
         self.fitted = True
         return self
 
@@ -82,33 +88,27 @@ class FGE(UQMethod):
         state = super().get_state()
         state["meta"]["num_snapshots"] = len(self.snapshots)
         for index, snapshot in enumerate(self.snapshots):
-            state["arrays"].update(pack_state_arrays(f"snapshots.{index}.", snapshot))
+            state["arrays"].update(pack_state_arrays(f"snapshots.{index}.", snapshot.state_dict()))
         return state
 
     def set_state(self, state: Dict[str, Any]) -> "FGE":
         from repro.utils.serialization import unpack_state_arrays
 
         super().set_state(state)
-        count = int(state["meta"]["num_snapshots"])
-        self.snapshots = [
-            unpack_state_arrays(f"snapshots.{index}.", state["arrays"])
-            for index in range(count)
-        ]
+        self.snapshots = []
+        for index in range(int(state["meta"]["num_snapshots"])):
+            snapshot = self._build_backbone()
+            snapshot.load_state_dict(unpack_state_arrays(f"snapshots.{index}.", state["arrays"]))
+            self.snapshots.append(snapshot)
         return self
 
     def predict(self, histories: np.ndarray) -> PredictionResult:
         self._check_fitted()
         scaled = self._scale_inputs(histories)
-        member_means = []
-        original_state = self.model.state_dict()
-        try:
-            for snapshot in self.snapshots:
-                self.model.load_state_dict(snapshot)
-                member_means.append(
-                    deterministic_forecast(self.model, scaled, self.scaler).mean
-                )
-        finally:
-            self.model.load_state_dict(original_state)
+        member_means = [
+            deterministic_forecast(snapshot, scaled, self.scaler).mean
+            for snapshot in self.snapshots
+        ]
         stacked = np.stack(member_means, axis=0)
         mean = stacked.mean(axis=0)
         epistemic = stacked.var(axis=0, ddof=1) if len(member_means) > 1 else np.zeros_like(mean)

@@ -15,7 +15,7 @@ from repro.core.inference import PredictionResult, _batched_forward
 from repro.core.losses import quantile_loss
 from repro.core.trainer import Trainer
 from repro.data.datasets import TrafficData
-from repro.tensor import no_grad
+from repro.nn import inference
 from repro.uq.base import UQMethod
 
 #: Head name -> quantile level (paper Section V-C2).
@@ -51,14 +51,8 @@ class QuantileRegression(UQMethod):
     def predict(self, histories: np.ndarray) -> PredictionResult:
         self._check_fitted()
         scaled_inputs = self._scale_inputs(histories)
-        was_training = self.model.training
-        self.model.eval()
-        try:
-            with no_grad():
-                outputs = _batched_forward(self.model, scaled_inputs, batch_size=256)
-        finally:
-            if was_training:
-                self.model.train()
+        with inference():
+            outputs = _batched_forward(self.model, scaled_inputs, batch_size=256)
         mean = self.scaler.inverse_transform(outputs["mean"])
         lower = self.scaler.inverse_transform(outputs["lower"])
         upper = self.scaler.inverse_transform(outputs["upper"])

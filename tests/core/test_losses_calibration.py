@@ -126,6 +126,20 @@ class TestTemperatureCalibrator:
         with pytest.raises(ValueError):
             TemperatureCalibrator().fit(np.zeros(3), np.zeros(4), np.ones(3))
 
+    @pytest.mark.parametrize("extra_variance", [0.0, 1.0])
+    def test_variance_floor_does_not_depend_on_other_points(self, extra_variance):
+        """A residual of 1 over a variance of 1e-12 counts at the 1e-8 floor
+        whether or not some other entry is <= 0; a zero-residual extra point
+        then moves T only through N, whatever its own variance."""
+        alone = TemperatureCalibrator.closed_form_temperature(
+            np.array([1.0]), np.array([0.0]), np.array([1e-12])
+        )
+        assert alone == pytest.approx(1e-4, rel=1e-12)
+        with_point = TemperatureCalibrator.closed_form_temperature(
+            np.array([1.0, 0.0]), np.array([0.0, 0.0]), np.array([1e-12, extra_variance])
+        )
+        assert with_point == pytest.approx(np.sqrt(2.0) * alone, rel=1e-12)
+
     @given(st.floats(min_value=0.3, max_value=3.0))
     @settings(max_examples=20, deadline=None)
     def test_closed_form_property(self, scale):
@@ -205,10 +219,11 @@ class TestPredictionResultAndInference:
                                       rng=np.random.default_rng(2))
         assert np.allclose(cooled.aleatoric_var, base.aleatoric_var / 4.0)
 
-    def test_monte_carlo_restores_dropout_state(self):
+    def test_monte_carlo_restores_dropout_state(self, module_state_of):
         model, scaler, inputs = self._tiny_model_and_inputs()
+        before = module_state_of(model)
         monte_carlo_forecast(model, inputs, scaler, num_samples=2)
-        assert not model.encoder_dropout.mc_active
+        assert module_state_of(model) == before
 
     def test_monte_carlo_invalid_args(self):
         model, scaler, inputs = self._tiny_model_and_inputs()

@@ -1,7 +1,9 @@
 """Fleet ticks: shared batched predicts, single-stream equivalence, ops."""
 
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -500,3 +502,25 @@ class TestCustomDetectorKinds:
         solo.run(_regime_shift_rows(quiet=20, loud=10))
         (started,) = [e for e in solo.event_log if e.kind == "recalibration_started"]
         assert started.step == 12
+
+
+def test_dropped_fleet_is_freed_by_reference_counting(network):
+    """No reference cycle keeps a fleet alive: its SLO source holds it weakly."""
+    from repro.obs.slo import SLOEngine, default_slos
+
+    feeds = _feeds(network, 4, steps=HISTORY + 2)
+    gc.disable()
+    try:
+        with _server() as server:
+            fleet = StreamFleet(server, HISTORY, HORIZON)
+            for name in feeds:
+                fleet.add_stream(name)
+            engine = fleet.attach_slo(SLOEngine(default_slos()))
+            fleet.run({name: iter(feed) for name, feed in feeds.items()})
+            dropped = weakref.ref(fleet)
+            del fleet
+            assert dropped() is None
+            # The engine outlives it and samples nothing from it, without raising.
+            engine.step(99)
+    finally:
+        gc.enable()

@@ -6,8 +6,10 @@ fails stranded futures with ``ServerStopped``, which wakes the blocked
 handler into a 503.
 """
 
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ import pytest
 from repro.gateway import Gateway
 from repro.serving import InferenceServer
 
-from gatewaylib import HISTORY, NODES, constant_predictor, http_call
+from gatewaylib import HISTORY, HORIZON, NODES, constant_predictor, http_call
 
 
 def _window():
@@ -129,3 +131,35 @@ def test_restart_after_a_full_stop_needs_a_new_server():
     with pytest.raises(RuntimeError, match="build a new server"):
         gateway.start(port=0)
     assert gateway.port is None
+
+
+def test_stopped_gateway_is_freed_by_reference_counting():
+    """No reference cycle keeps a stopped gateway, fleet, server or engine alive."""
+    from repro.fleet import StreamFleet
+    from repro.obs.slo import SLOEngine, default_slos
+
+    gc.disable()
+    try:
+        server = InferenceServer(max_batch_size=8, max_wait_ms=1.0)
+        server.deploy("gen-0", constant_predictor(0.0))
+        fleet = StreamFleet(server, HISTORY, HORIZON)
+        fleet.add_stream("s0")
+        engine = fleet.attach_slo(SLOEngine(default_slos()))
+        gateway = Gateway(server, fleet=fleet, slo=engine).start(port=0)
+        for _ in range(HISTORY + 1):
+            status, _, _ = http_call(
+                gateway.url, "POST", "/observe", {"stream": "s0", "observation": [1.0] * NODES}
+            )
+            assert status == 200
+        for method, path, body in (
+            ("POST", "/predict", {"window": _window()}),
+            ("GET", "/metrics", None),
+            ("GET", "/nowhere", None),
+        ):
+            http_call(gateway.url, method, path, body)
+        gateway.stop(timeout=10.0)
+        refs = [weakref.ref(obj) for obj in (gateway, fleet, server, engine)]
+        del gateway, fleet, server, engine
+        assert [ref() is None for ref in refs] == [True] * 4
+    finally:
+        gc.enable()

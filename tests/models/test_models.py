@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import models
+from repro import models, nn
 from repro.graph import grid_network
 from repro.models import (
     AGCRN,
@@ -166,12 +166,16 @@ class TestAGCRN:
         out = self._model(heads=("mean",), num_layers=2)(Tensor(x))
         assert out.shape == (BATCH, HORIZON, NUM_NODES)
 
-    def test_mc_dropout_toggle_counts_layers(self):
-        model = self._model()
-        assert model.set_mc_dropout(True) == 2  # encoder + decoder dropout
-        assert model.encoder_dropout.mc_active and model.decoder_dropout.mc_active
-        model.set_mc_dropout(False)
-        assert not model.encoder_dropout.mc_active
+    @pytest.mark.parametrize("rates", [(0.3, 0.0), (0.0, 0.3)])
+    def test_mc_dropout_reaches_encoder_and_decoder_dropout(self, batch, rates):
+        x, _ = batch
+        model = self._model(encoder_dropout=rates[0], decoder_dropout=rates[1])
+        model.eval()
+        with nn.inference(np.random.default_rng(1)):
+            a = model(Tensor(x))["mean"].numpy()
+        with nn.inference(np.random.default_rng(2)):
+            b = model(Tensor(x))["mean"].numpy()
+        assert not np.allclose(a, b)
 
     def test_eval_forward_is_deterministic_without_mc(self, batch):
         x, _ = batch
@@ -185,21 +189,20 @@ class TestAGCRN:
         x, _ = batch
         model = self._model(encoder_dropout=0.3, decoder_dropout=0.3)
         model.eval()
-        model.set_mc_dropout(True)
-        a = model(Tensor(x))["mean"].numpy()
-        b = model(Tensor(x))["mean"].numpy()
+        with nn.inference(np.random.default_rng(1)):
+            a = model(Tensor(x))["mean"].numpy()
+            b = model(Tensor(x))["mean"].numpy()
         assert not np.allclose(a, b)
 
-    def test_reseed_dropout_reproducible(self, batch):
+    def test_mc_dropout_reproducible_from_the_same_stream(self, batch):
         x, _ = batch
         model = self._model(encoder_dropout=0.3, decoder_dropout=0.3)
         model.eval()
-        model.set_mc_dropout(True)
-        model.reseed_dropout(np.random.default_rng(42))
-        a = model(Tensor(x))["mean"].numpy()
-        model.reseed_dropout(np.random.default_rng(42))
-        b = model(Tensor(x))["mean"].numpy()
-        assert np.allclose(a, b)
+        with nn.inference(np.random.default_rng(42)):
+            a = model(Tensor(x))["mean"].numpy()
+        with nn.inference(np.random.default_rng(42)):
+            b = model(Tensor(x))["mean"].numpy()
+        np.testing.assert_array_equal(a, b)
 
     def test_learned_adjacency_is_stochastic_matrix(self):
         adjacency = self._model().learned_adjacency()

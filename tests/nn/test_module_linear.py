@@ -129,21 +129,20 @@ class TestDropout:
         assert np.allclose(layer(x).numpy(), 1.0)
 
     def test_mc_mode_stays_stochastic_in_eval(self):
-        layer = nn.Dropout(0.5, rng=np.random.default_rng(0))
+        layer = nn.Dropout(0.5)
         layer.eval()
-        layer.mc_active = True
-        out = layer(Tensor(np.ones(200))).numpy()
+        with nn.inference(np.random.default_rng(0)):
+            out = layer(Tensor(np.ones(200))).numpy()
         assert np.any(out == 0.0)
 
-    def test_set_mc_dropout_helper(self):
-        from repro.nn.dropout import set_mc_dropout
-
-        net = TinyNet()
-        count = set_mc_dropout(net, True)
-        assert count == 1
-        assert net.drop.mc_active
-        set_mc_dropout(net, False)
-        assert not net.drop.mc_active
+    def test_inference_streams_reach_nested_dropout(self):
+        net = TinyNet(rng=np.random.default_rng(0))
+        net.eval()
+        x = Tensor(np.ones((16, 4)))
+        with nn.inference(np.random.default_rng(1)):
+            first, second = net(x).numpy(), net(x).numpy()
+        assert not np.allclose(first, second)
+        np.testing.assert_array_equal(net(x).numpy(), net(x).numpy())
 
     def test_zero_rate_is_identity_even_in_training(self):
         layer = nn.Dropout(0.0)

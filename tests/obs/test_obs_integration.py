@@ -102,10 +102,10 @@ def test_enabled_fleet_run_produces_tick_traces_and_phase_timings():
     assert "monitor_update" in snapshot
 
 
-def test_model_forward_timing_excludes_waiting_for_the_predict_lock():
-    """Two one-window batches on two workers contend for the predict lock;
-    the phase and the spans must record the forwards, not the second one's
-    wait."""
+def test_model_forward_timing_records_each_concurrent_forward():
+    """Two one-window batches on two workers run their forwards at once;
+    the phase and the spans must record each forward once, with its own
+    duration."""
     obs.configure(enabled=True, seed=0, log_sink=False)
     slept = []
 

@@ -8,7 +8,14 @@ import pytest
 import repro.obs as obs
 from repro.fleet import StreamFleet
 from repro.obs.events import recent_events
-from repro.obs.slo import SLOEngine, SLOSpec, _counter_delta, default_slos
+from repro.obs.slo import (
+    SLOEngine,
+    SLOSpec,
+    _counter_delta,
+    default_slos,
+    fleet_source,
+    gateway_source,
+)
 from repro.serving import InferenceServer
 
 
@@ -480,3 +487,14 @@ class TestDefaultCoverageSLO:
         coverage, alert = self._held(covered=19, sensors=20)
         assert coverage == pytest.approx(95.0)
         assert alert.state == "inactive"
+
+
+@pytest.mark.parametrize("make_source", [fleet_source, gateway_source])
+def test_source_of_a_dropped_owner_samples_nothing(make_source):
+    class Owner:
+        pass
+
+    owner = Owner()
+    source = make_source(owner)
+    del owner
+    assert source() == {}

@@ -133,14 +133,14 @@ class TestEngineEquivalence:
         assert np.all(np.isfinite(result.std))
         assert np.allclose(result.epistemic_var, 0.0)
 
-    def test_predictor_restores_model_state(self, model_scaler_inputs):
+    def test_predictor_restores_model_state(self, model_scaler_inputs, module_state_of):
         model, scaler, inputs = model_scaler_inputs
         model.train()
+        before = module_state_of(model)
         predictor = BatchedPredictor(model, scaler)
         predictor.monte_carlo(inputs, num_samples=2, rng=np.random.default_rng(0))
         assert model.training
-        assert not model.encoder_dropout.mc_active
-        assert model.encoder_dropout._fold_streams is None
+        assert module_state_of(model) == before
 
     def test_invalid_args(self, model_scaler_inputs):
         model, scaler, inputs = model_scaler_inputs
