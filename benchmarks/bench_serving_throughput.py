@@ -6,10 +6,10 @@ sequential per-sample loop, across request micro-batch sizes, plus the
 end-to-end :class:`~repro.serving.InferenceServer` throughput with and
 without cache re-use.
 
-Expected shape: the folded pass amortizes the per-timestep Python dispatch
-the loop pays ``N_MC`` times, so the speedup is largest for the small
-micro-batches a serving queue produces and decays as raw array math starts
-to dominate.  The acceptance gate is >= 3x at the representative micro-batch
+Expected shape: the folded pass amortizes the fixed cost of each encoder
+step (its NumPy and BLAS calls' set-up) that the loop pays ``N_MC`` times,
+so the speedup is largest for the small micro-batches a serving queue
+produces and decays as raw array math starts to dominate.  The acceptance gate is >= 3x at the representative micro-batch
 size of 4 windows.
 """
 

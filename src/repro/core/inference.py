@@ -203,10 +203,13 @@ class BatchedPredictor:
     ``(n_mc, b, horizon, nodes)`` and the Eq. 19 mean/variance decomposition
     collapses the sample axis with single NumPy reductions.
 
-    The win is Python-overhead amortization: the recurrent encoder costs
-    ``history * num_layers`` graph-convolution dispatches per forward, so a
-    looped MC estimate pays that interpreter cost ``n_mc`` times while the
-    folded pass pays it once on arrays ``n_mc`` times taller.
+    The win is fixed-cost amortization: the recurrent encoder runs
+    ``history * num_layers`` cell steps per forward, each a few dozen NumPy
+    and BLAS calls whose set-up costs the same at any height, so a looped MC
+    estimate pays those costs ``n_mc`` times while the folded pass pays them
+    once on arrays ``n_mc`` times taller.  An AGCRN runs those steps as an
+    in-place NumPy kernel under :func:`repro.nn.inference`, bit-identical to
+    its Tensor-op encoder (see :class:`~repro.models.agcrn.AGCRN`).
 
     Parameters
     ----------

@@ -14,6 +14,14 @@ exactly as described in Section IV-A/IV-B of the DeepSTUQ paper:
   realized as per-node linear projections of the final hidden state) —
   a ``mean`` head and, for probabilistic variants, a ``log_var`` head
   (Section IV-C1).
+
+The encoder has two implementations of one arithmetic.  Training runs
+:meth:`AGCRN.encode`, whose Tensor ops record the tape.  Inside
+:func:`repro.nn.inference` the forward runs :class:`_CellKernel`'s in-place
+NumPy recurrence instead, which gives bit-identical outputs and draws the
+same dropout masks in the same order, at about two thirds of the time (no
+concatenation, no fresh array per op).  A change to the cell's math must go
+into both; ``tests/models/test_agcrn_inference.py`` compares them bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import numpy as np
 
 from repro import nn
 from repro.models.base import ForecastModel
-from repro.nn.module import Module
+from repro.nn.module import Module, Streams, in_inference, inference_streams
 from repro.tensor import Tensor
 from repro.tensor import functional as F
 
@@ -79,6 +87,70 @@ class AGCRNCell(Module):
             candidate = dropout(candidate)
         candidate = candidate.tanh()
         return update * hidden + (1.0 - update) * candidate
+
+
+class _CellKernel:
+    """One :class:`AGCRNCell`'s recurrence over one inference forward, in NumPy.
+
+    It runs :meth:`AGCRNCell.forward`'s arithmetic, op for op, on buffers it
+    allocates once and updates in place: ``[x, h]`` and its propagations go
+    straight into one ``(rows, N, K*C_in)`` buffer, so no concatenation is
+    left, and each per-node GEMM writes a C-contiguous ``(rows, N, C_out)``
+    buffer.  The per-forward parameters come from
+    :meth:`~repro.nn.AVWGCN.node_parameters`, the training path's own code.
+    A kernel lives for one forward, so concurrent forwards share no buffer.
+    """
+
+    def __init__(self, cell: AGCRNCell, adjacency: Tensor, embeddings: Tensor, rows: int) -> None:
+        self.convs = []
+        for conv in (cell.gate_conv, cell.candidate_conv):
+            supports, weights, bias = conv.node_parameters(adjacency, embeddings)
+            self.convs.append(([support.data for support in supports], weights.data, bias.data))
+        self.input_dim, self.hidden_dim = cell.input_dim, cell.hidden_dim
+        self.width = cell.input_dim + cell.hidden_dim
+        nodes = (rows, cell.num_nodes)
+        self.stacked = np.empty(nodes + (cell.gate_conv.cheb_k * self.width,))
+        self.hidden = np.zeros(nodes + (cell.hidden_dim,))
+        self.gates = np.empty(nodes + (2 * cell.hidden_dim,))
+        self.candidate = np.empty(nodes + (cell.hidden_dim,))
+        self.update = np.empty(nodes + (cell.hidden_dim,))
+
+    def _conv(self, index: int, out: np.ndarray) -> np.ndarray:
+        """``AVWGCN.forward`` of ``stacked[..., :C_in]`` into ``out``."""
+        supports, weights, bias = self.convs[index]
+        signal = self.stacked[..., : self.width]
+        for k, support in enumerate(supports, start=1):
+            np.matmul(support, signal, out=self.stacked[..., k * self.width : (k + 1) * self.width])
+        np.matmul(self.stacked.transpose(1, 0, 2), weights, out=out.transpose(1, 0, 2))
+        out += bias
+        return out
+
+    def step(self, x: np.ndarray, rate: float, streams: Optional[Streams]) -> np.ndarray:
+        """Advance the hidden state by one input ``x`` ``(rows, N, C_in)``; return it."""
+        split, hidden = self.input_dim, self.hidden
+        self.stacked[..., :split] = x
+        self.stacked[..., split : self.width] = hidden
+        gates = self._conv(0, self.gates)
+        if streams is not None:
+            gates *= F.dropout_mask(gates.shape, rate, streams)
+        # Tensor.sigmoid: 1 / (1 + exp(-gates)).
+        np.exp(np.negative(gates, out=gates), out=gates)
+        gates += 1.0
+        np.divide(1.0, gates, out=gates)
+        # A contiguous copy of the update gate, so the GRU update below runs
+        # on whole arrays instead of every other run of hidden_dim columns.
+        update = self.update
+        update[...] = gates[..., : self.hidden_dim]
+        np.multiply(gates[..., self.hidden_dim :], hidden, out=self.stacked[..., split : self.width])
+        candidate = self._conv(1, self.candidate)
+        if streams is not None:
+            candidate *= F.dropout_mask(candidate.shape, rate, streams)
+        np.tanh(candidate, out=candidate)
+        # update * hidden + (1 - update) * candidate
+        hidden *= update
+        candidate *= np.subtract(1.0, update, out=update)
+        hidden += candidate
+        return hidden
 
 
 class AGCRN(ForecastModel):
@@ -165,6 +237,25 @@ class AGCRN(ForecastModel):
                 layer_input = states[index]
         return states[-1]
 
+    def _encode_inference(self, x: Tensor) -> Tensor:
+        """:meth:`encode` as an in-place NumPy recurrence (see :class:`_CellKernel`).
+
+        Bit-identical to :meth:`encode` inside the same
+        :func:`repro.nn.inference` block, including the masks it draws and
+        their order; it records no tape, so training keeps :meth:`encode`.
+        """
+        adjacency = self.adaptive_adjacency()
+        embeddings = self.adaptive_adjacency.embeddings
+        rate = self.encoder_dropout.rate
+        streams = inference_streams() if rate > 0.0 else None
+        kernels = [_CellKernel(cell, adjacency, embeddings, x.shape[0]) for cell in self.cells]
+        signal = x.data[..., None]
+        for step in range(self.history):
+            layer_input = signal[:, step]
+            for kernel in kernels:
+                layer_input = kernel.step(layer_input, rate, streams)
+        return Tensor(layer_input)
+
     def forward(self, x: Union[Tensor, np.ndarray]) -> Union[Tensor, Dict[str, Tensor]]:
         """Forecast all heads.
 
@@ -172,7 +263,7 @@ class AGCRN(ForecastModel):
         configured, otherwise a dict mapping head names to such tensors.
         """
         x = self._validate_input(x)
-        hidden = self.encode(x)
+        hidden = self._encode_inference(x) if in_inference() else self.encode(x)
         decoded = self.decoder_dropout(hidden)
         outputs: Dict[str, Tensor] = {}
         for name, head in zip(self.head_names, self.heads):

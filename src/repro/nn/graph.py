@@ -18,7 +18,7 @@ enough for the NumPy substrate.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -221,6 +221,27 @@ class AVWGCN(Module):
         )
         self.bias_pool = Parameter(init.zeros((embed_dim, out_features)))
 
+    def node_parameters(
+        self, adjacency: Tensor, embeddings: Tensor
+    ) -> Tuple[List[Tensor], Tensor, Tensor]:
+        """The parameters of Eqs. 4-5 that one forward shares across its steps.
+
+        Returns the supports ``T_1 .. T_{K-1}`` (``T_0 = I`` is applied as
+        the identity, so it is left out), the node-adaptive weights
+        ``(N, K*C_in, C_out)`` and the node-adaptive bias ``(N, C_out)``.
+        """
+        num_nodes = embeddings.shape[0]
+        # Chebyshev-style support set: T_0 = I, T_1 = A_hat, T_k = 2 A T_{k-1} - T_{k-2}.
+        # Only T_2 reads T_0, so I is built only when there is a T_2.
+        supports = [Tensor(np.eye(num_nodes)) if self.cheb_k >= 3 else None, adjacency]
+        for _ in range(2, self.cheb_k):
+            supports.append(2.0 * adjacency.matmul(supports[-1]) - supports[-2])
+        weights = embeddings.matmul(self.weight_pool).reshape(
+            num_nodes, self.cheb_k * self.in_features, self.out_features
+        )
+        bias = embeddings.matmul(self.bias_pool)
+        return supports[1 : self.cheb_k], weights, bias
+
     def forward(self, x: Tensor, adjacency: Tensor, embeddings: Tensor) -> Tensor:
         """Propagate ``x`` (batch, N, C_in) with the learned adjacency.
 
@@ -234,23 +255,9 @@ class AVWGCN(Module):
             Node-embedding parameter shared across layers, shape
             ``(num_nodes, embed_dim)``.
         """
-        num_nodes = x.shape[1]
-        # Chebyshev-style support set: T_0 = I, T_1 = A_hat, T_k = 2 A T_{k-1} - T_{k-2}.
-        supports = [Tensor(np.eye(num_nodes)), adjacency]
-        for _ in range(2, self.cheb_k):
-            supports.append(2.0 * adjacency.matmul(supports[-1]) - supports[-2])
-
+        supports, weights, bias = self.node_parameters(adjacency, embeddings)
         # (B, N, K * C_in): the propagated signals over supports; T_0 x is x.
-        propagated = F.cat(
-            [x] + [support.matmul(x) for support in supports[1 : self.cheb_k]], axis=-1
-        )
-
-        # Node-adaptive weights: (N, K*C_in, C_out) generated from embeddings.
-        weights = embeddings.matmul(self.weight_pool).reshape(
-            num_nodes, self.cheb_k * self.in_features, self.out_features
-        )
-        bias = embeddings.matmul(self.bias_pool)  # (N, C_out)
-
+        propagated = F.cat([x] + [support.matmul(x) for support in supports], axis=-1)
         # One GEMM per node: (N, B, K*C_in) @ (N, K*C_in, C_out) -> (B, N, C_out).
         out = propagated.transpose(1, 0, 2).matmul(weights).transpose(1, 0, 2)
         return out + bias

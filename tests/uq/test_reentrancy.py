@@ -1,8 +1,9 @@
 """Every UQ method's predict is re-entrant on one fitted instance.
 
 A forward keeps its dropout mode and mask streams in the thread-local
-``repro.nn.inference`` context and writes nothing to the model, which is
-what lets the inference server run two forwards over one deployment at once.
+``repro.nn.inference`` context, keeps AGCRN's encoder buffers in locals of
+the call and writes nothing to the model, which is what lets the inference
+server run two forwards over one deployment at once.
 These tests hold one predict inside its forward while a second, whole
 predict runs on another thread, and require both to equal sequential calls
 bit for bit.  They are deterministic: the threads meet at Events, never at a
@@ -15,11 +16,11 @@ import threading
 import numpy as np
 import pytest
 
-from repro import nn
 from repro.core import TrainingConfig
 from repro.core.awa import AWAConfig
 from repro.data import SlidingWindowDataset, TrafficData, generate_traffic, train_val_test_split
 from repro.graph import grid_network
+from repro.models.agcrn import AGCRN, _CellKernel
 from repro.nn.module import Module
 from repro.uq import available_methods, create_method
 
@@ -71,30 +72,39 @@ def _assert_same(result, expected):
 
 
 class _PauseInsideForward:
-    """Hold one thread at its ``nth`` call of a ``counted`` module until released.
+    """Hold one thread at its ``nth`` call of ``owner.attribute`` until released."""
 
-    On the MC paths a dropout call is a mask draw; a model without dropout
-    is held at its ``nth`` module call of any kind.
-    """
-
-    def __init__(self, thread: str, counted: type, nth: int = 3) -> None:
-        self.thread, self.counted, self.nth = thread, counted, nth
+    def __init__(self, thread: str, owner, attribute: str, nth: int = 3) -> None:
+        self.thread, self.owner, self.attribute, self.nth = thread, owner, attribute, nth
         self.calls = 0
         self.paused, self.resume = threading.Event(), threading.Event()
 
     def install(self, monkeypatch) -> None:
-        original = Module.__call__
+        original = getattr(self.owner, self.attribute)
 
-        def gated_call(module, *args, **kwargs):
-            if threading.current_thread().name == self.thread and isinstance(module, self.counted):
+        def gated(*args, **kwargs):
+            if threading.current_thread().name == self.thread:
                 self.calls += 1
                 if self.calls == self.nth:
                     self.paused.set()
                     if not self.resume.wait(TIMEOUT):
                         raise TimeoutError("the paused forward was never released")
-            return original(module, *args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(Module, "__call__", gated_call)
+        monkeypatch.setattr(self.owner, self.attribute, gated)
+
+
+def _gate(method) -> _PauseInsideForward:
+    """Where to hold predict A: mid-recurrence, with the forward's buffers live.
+
+    An AGCRN's inference forward makes no module call inside its encoder, so
+    it is held at its encoder kernel's ``nth`` step; any other model (CFRNN's
+    GRU) at its ``nth`` module call.
+    """
+    runs_agcrn = any(isinstance(m, AGCRN) for model in _models(method) for m in model.modules())
+    if runs_agcrn:
+        return _PauseInsideForward("predict-A", _CellKernel, "step")
+    return _PauseInsideForward("predict-A", Module, "__call__")
 
 
 @pytest.mark.parametrize("name", available_methods())
@@ -103,8 +113,7 @@ def test_predict_is_reentrant(fitted, name, monkeypatch):
     method = methods[name]
     expected_a, expected_b = method.predict(first), method.predict(second)
 
-    has_dropout = any(isinstance(m, nn.Dropout) for model in _models(method) for m in model.modules())
-    gate = _PauseInsideForward("predict-A", nn.Dropout if has_dropout else Module)
+    gate = _gate(method)
     gate.install(monkeypatch)
     results, errors = {}, []
 

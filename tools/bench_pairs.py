@@ -18,15 +18,19 @@ neither side), then the verdict:
   than the parent's by more than its ``BENCHMARK.json`` bound (a fraction
   of the parent's median).
 
-The last line of output is one JSON object with the runs and the verdict.
-The exit status is 1 when any run crashed or reported a failed operation or
-check, 0 otherwise, whatever the verdict.
+The last line of output is one JSON object with the runs, the verdict and
+both sides' commits: the parent revision resolved to its commit, and this
+tree's HEAD with whether the tree differs from it (``dirty``).  ``--out``
+writes that line to a file as well.  The exit status is 1 when any run
+crashed or reported a failed operation or check, 0 otherwise, whatever the
+verdict.
 
 Usage, from the repository root::
 
     python tools/bench_pairs.py --workload fleet_256 --pairs 10 --seed 101
     python tools/bench_pairs.py --workload http_predict --claim none
     python tools/bench_pairs.py --workload fleet_256 --pairs 1 --smoke --seconds 2
+    python tools/bench_pairs.py --workload gateway_mixed --claim p50_ms --out BENCH.json
 """
 
 from __future__ import annotations
@@ -53,6 +57,20 @@ def quartiles(values: Sequence[float]) -> Dict[str, float]:
         return ordered[low] + (ordered[high] - ordered[low]) * (position - low)
 
     return {"q1": at(0.25), "median": at(0.5), "q3": at(0.75)}
+
+
+def git(*args: str) -> str:
+    """Output of one git command run on this repository."""
+    done = subprocess.run(["git", "-C", ROOT, *args], check=True, capture_output=True, text=True)
+    return done.stdout.strip()
+
+
+def commits(parent: str) -> Dict[str, Any]:
+    """Both sides' commits: ``parent`` resolved, and this tree's HEAD and whether it differs."""
+    return {
+        "parent": {"revision": parent, "commit": git("rev-parse", "--verify", parent + "^{commit}")},
+        "change": {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))},
+    }
 
 
 def unpack(revision: str, directory: str) -> None:
@@ -150,11 +168,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--claim", default="throughput_per_s",
                         help="end-to-end metric the change claims a gain on ('none': no claim)")
     parser.add_argument("--smoke", action="store_true", help="tiny workload sizes (pass-through)")
+    parser.add_argument("--out", help="also write the final JSON line to this file")
     args = parser.parse_args(argv)
     claim = None if args.claim == "none" else args.claim
     if claim is not None and claim not in {entry["name"] for entry in spec["end_to_end"]}:
         parser.error(f"--claim {claim!r} is not an end-to-end metric of BENCHMARK.json")
 
+    sides = commits(args.parent)
     runs: List[Dict[str, Any]] = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as parent_tree:
         unpack(args.parent, parent_tree)
@@ -176,7 +196,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                       flush=True)
 
     summary = verdict(runs, spec, claim)
-    print(f"\n{args.workload}: {args.pairs} pairs of {args.seconds:g} s, parent {args.parent}")
+    print(f"\n{args.workload}: {args.pairs} pairs of {args.seconds:g} s, "
+          f"parent {args.parent} ({sides['parent']['commit'][:12]})")
     for name, row in summary["metrics"].items():
         base, new = row["parent"], row["change"]
         status = (
@@ -188,12 +209,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"  change {new['median']:10.4g} [{new['q1']:.4g}, {new['q3']:.4g}]"
             f"  wins {row['wins']}/{row['pairs']}  {status}"
         )
-    print(json.dumps({
+    line = json.dumps({
         "workload": args.workload,
         "pairs": args.pairs,
         "seconds": args.seconds,
         "seeds": [args.seed, args.seed + args.pairs - 1],
-        "parent": args.parent,
+        **sides,
         **summary,
         "runs": [
             {
@@ -203,7 +224,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             }
             for run in runs
         ],
-    }, sort_keys=True))
+    }, sort_keys=True)
+    print(line)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(line + "\n")
     return 1 if summary["bad_runs"] else 0
 
 
