@@ -9,7 +9,8 @@ The script walks through the serving stack added on top of the batched
 Monte-Carlo engine:
 
 1. train a heteroscedastic AGCRN with MC dropout (the "Combined" method);
-2. time looped vs. vectorized (sample-folded) MC inference;
+2. time looped vs. vectorized (sample-folded) MC inference, both through
+   :class:`~repro.core.inference.BatchedPredictor`;
 3. start an :class:`~repro.serving.InferenceServer` (micro-batching + LRU
    cache + worker pool) and push a stream of single-window requests at it,
    including duplicates that the cache absorbs;
@@ -24,6 +25,7 @@ import time
 import numpy as np
 
 from repro.core import TrainingConfig
+from repro.core.inference import BatchedPredictor
 from repro.data import SlidingWindowDataset, load_pems, train_val_test_split
 from repro.uq import create_method
 from repro.utils import format_table
@@ -63,12 +65,16 @@ def main() -> None:
     probe = windows[:4]
 
     print("Timing looped vs batched MC inference ...")
-    start = time.perf_counter()
-    method.predict(probe, vectorized=False)
-    looped = time.perf_counter() - start
-    start = time.perf_counter()
-    method.predict(probe)
-    batched = time.perf_counter() - start
+    predictor = BatchedPredictor(method.model, method.scaler)
+    scaled = method.scaler.transform(probe)
+    seconds = {}
+    for vectorized in (False, True):
+        start = time.perf_counter()
+        predictor.monte_carlo(
+            scaled, args.num_samples, rng=np.random.default_rng(0), vectorized=vectorized
+        )
+        seconds[vectorized] = time.perf_counter() - start
+    looped, batched = seconds[False], seconds[True]
     print(format_table(
         ["path", "latency (ms)", "speedup"],
         [["looped", looped * 1000.0, 1.0], ["batched", batched * 1000.0, looped / batched]],

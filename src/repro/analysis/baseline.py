@@ -73,7 +73,7 @@ class Baseline:
         """Entries whose key matched no finding in the completed run."""
         return [e.to_dict() for e in self.entries if e.key not in matched_keys]
 
-    def unjustified(self) -> List[BaselineEntry]:  # repro: noqa[unused/symbol] the enforcement test uses it
+    def unjustified(self) -> List[BaselineEntry]:  # repro: noqa[unused/symbol] tests/analysis/test_enforcement.py
         return [e for e in self.entries if not e.justification.strip()]
 
     @classmethod

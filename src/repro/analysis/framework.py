@@ -9,7 +9,8 @@ field carries the full stable id (``family/sub-id``, e.g.
 Suppression happens at two levels:
 
 * inline — a ``# repro: noqa[rule-id]`` comment on the finding's line
-  (``rule-id`` may be a full id, a family, or ``*``);
+  (``rule-id`` may be a full id, a family, or ``*``), unless the rule
+  rejected the pragma's reason (:attr:`Finding.suppressible`);
 * committed — entries in ``analysis_baseline.json`` matched on
   ``(rule, path, symbol)`` so line drift does not expire them (see
   :mod:`repro.analysis.baseline`).
@@ -44,6 +45,9 @@ class Finding:
     rule: str
     symbol: str
     message: str
+    #: ``False`` when the rule has already judged the line's pragma and
+    #: rejected it, so no ``noqa`` on that line can silence the finding.
+    suppressible: bool = field(default=True, compare=False)
 
     @property
     def key(self) -> tuple:
@@ -125,16 +129,26 @@ class ModuleContext:
             lines=source.splitlines(),
         )
 
+    def _pragma(self, line: int) -> Optional["re.Match[str]"]:
+        if not 1 <= line <= len(self.lines):
+            return None
+        return _NOQA_RE.search(self.lines[line - 1])
+
     def noqa_codes(self, line: int) -> List[str]:
         """Suppression codes from a ``# repro: noqa[...]`` pragma on ``line``."""
-        if not 1 <= line <= len(self.lines):
-            return []
-        match = _NOQA_RE.search(self.lines[line - 1])
+        match = self._pragma(line)
         if match is None:
             return []
         return [code.strip() for code in match.group(1).split(",") if code.strip()]
 
+    def noqa_reason(self, line: int) -> str:
+        """The text after the ``# repro: noqa[...]`` pragma on ``line``."""
+        match = self._pragma(line)
+        return "" if match is None else self.lines[line - 1][match.end():].strip()
+
     def is_suppressed(self, finding: Finding) -> bool:
+        if not finding.suppressible:
+            return False
         for code in self.noqa_codes(finding.line):
             if code == "*" or finding.rule == code or finding.rule.startswith(code + "/"):
                 return True

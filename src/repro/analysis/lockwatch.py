@@ -103,7 +103,7 @@ class TrackedLock:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.release()
 
-    def locked(self) -> bool:  # repro: noqa[unused/symbol] threading.Lock protocol
+    def locked(self) -> bool:  # repro: noqa[unused/symbol] tests/analysis/test_lockwatch.py
         locked = getattr(self._inner, "locked", None)
         if locked is not None:
             return locked()
@@ -204,7 +204,7 @@ class LockWatcher:
                 "max_held_by_one_thread": self._max_held,
             }
 
-    def assert_acyclic(self) -> None:  # repro: noqa[unused/symbol] sanitizer API for suites
+    def assert_acyclic(self) -> None:  # repro: noqa[unused/symbol] tests/analysis/test_lockwatch.py
         """Raise the first recorded violation (for end-of-test assertions)."""
         violations = self.violations
         if violations:
@@ -306,7 +306,7 @@ class LockWatcher:
 
 
 @contextmanager
-def watching(  # repro: noqa[unused/symbol] sanitizer API for suites
+def watching(  # repro: noqa[unused/symbol] tests/analysis/test_lockwatch.py
     watcher: Optional[LockWatcher] = None, raise_on_cycle: bool = True
 ) -> Iterator[LockWatcher]:
     """Patch ``threading.Lock``/``RLock`` so new locks are tracked.

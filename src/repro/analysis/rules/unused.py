@@ -16,16 +16,24 @@ list of strings); a name the ``__init__`` uses in its own code still
 counts.  Classes decorated with a ``@register``-style decorator count as
 used, since their registry reaches them by key.  Matching is by bare name,
 not by type, so any ``x.update`` keeps every ``update`` method alive: the
-rule under-reports rather than guess types.  A symbol kept on purpose (a
-``threading.Lock`` protocol method, a reference tests compare against, an
-instrument the test suites drive, a documented user entry point) carries
-``# repro: noqa[unused/symbol]`` and a reason on its ``def`` line.
+rule under-reports rather than guess types.
+
+A symbol kept on purpose (a reference tests compare against, an
+instrument the test suites drive, an entry point the README documents)
+carries ``# repro: noqa[unused/symbol]`` and a reason on its ``def``
+line.  The reason must name a repo-relative ``.py`` file or directory (a
+word ending in ``.py`` or holding a ``/``) in which the symbol's name
+occurs as a code identifier, by the same test as above.  A reason that
+names no such path (free text, a missing path, a file that mentions the
+name only in a string or a comment) does not suppress: the finding
+stands, and no pragma on that line can silence it.
 """
 
 from __future__ import annotations
 
 import ast
 from collections import defaultdict
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -56,10 +64,9 @@ def _identifiers(tree: ast.AST, package_init: bool) -> Iterable[Tuple[str, int]]
                 yield alias.name, node.lineno
 
 
-def _build_index(root: Path) -> _Index:
+def _build_index(paths: List[Path], root: Path) -> _Index:
     index: _Index = defaultdict(list)
-    trees = [root / name for name in CALLER_TREES if (root / name).is_dir()]
-    for path in iter_python_files(trees, root):
+    for path in iter_python_files(paths, root):
         try:
             tree = ast.parse(path.read_text(encoding="utf-8"))
         except (SyntaxError, UnicodeDecodeError, OSError):
@@ -68,6 +75,22 @@ def _build_index(root: Path) -> _Index:
         for name, line in _identifiers(tree, path.name == "__init__.py"):
             index[name].append((relpath, line))
     return index
+
+
+def _named_paths(reason: str, root: Path) -> List[Path]:
+    """The repo-relative ``.py`` files and directories a pragma's reason names."""
+    root = root.resolve()
+    paths = []
+    for word in reason.split():
+        word = word.strip("\"'`()[]{},;:").rstrip(".")
+        if "/" not in word and not word.endswith(".py") or Path(word).is_absolute():
+            continue  # prose, not a repo-relative path
+        path = (root / word).resolve()
+        if root not in path.parents:
+            continue
+        if path.is_dir() or (path.suffix == ".py" and path.is_file()):
+            paths.append(path)
+    return paths
 
 
 def _root_of(module: ModuleContext) -> Optional[Path]:
@@ -102,7 +125,8 @@ class UnusedRule(Rule):
 
     def _index_for(self, root: Path) -> _Index:
         if self._root != root:
-            self._root, self._index = root, _build_index(root)
+            trees = [root / name for name in CALLER_TREES if (root / name).is_dir()]
+            self._root, self._index = root, _build_index(trees, root)
         return self._index
 
     def check(self, module: ModuleContext) -> Iterable[Finding]:
@@ -113,13 +137,27 @@ class UnusedRule(Rule):
         findings: List[Finding] = []
         seen = set()
 
-        def used(node: _Definition) -> bool:
-            if _registered(node):
-                return True
+        def used_in(node: _Definition, occurrences: _Index) -> bool:
             first = min([d.lineno for d in node.decorator_list] + [node.lineno])
             return any(
                 path != module.relpath or not first <= line <= node.end_lineno
-                for path, line in index.get(node.name, ())
+                for path, line in occurrences.get(node.name, ())
+            )
+
+        def judged(node: _Definition, finding: Finding) -> Finding:
+            """``finding``, unsuppressible unless its pragma names a user."""
+            if not module.is_suppressed(finding):
+                return finding
+            reason = module.noqa_reason(finding.line)
+            if used_in(node, _build_index(_named_paths(reason, root), root)):
+                return finding
+            return replace(
+                finding,
+                message=(
+                    f"the suppression of {finding.symbol} names no .py file or "
+                    f"directory that uses {node.name} in code: {reason or 'no reason'}"
+                ),
+                suppressible=False,
             )
 
         def visit(body: List[ast.stmt], owner: str) -> None:
@@ -132,20 +170,19 @@ class UnusedRule(Rule):
                 if symbol in seen:  # a property's setter shares the getter's name
                     continue
                 seen.add(symbol)
-                if not used(node):
+                if not (_registered(node) or used_in(node, index)):
                     kind = "class" if isinstance(node, ast.ClassDef) else "function"
-                    findings.append(
-                        Finding(
-                            path=module.relpath,
-                            line=node.lineno,
-                            rule="unused/symbol",
-                            symbol=symbol,
-                            message=(
-                                f"public {kind} {symbol} is referenced nowhere in "
-                                f"{', '.join(CALLER_TREES)} outside its definition"
-                            ),
-                        )
+                    finding = Finding(
+                        path=module.relpath,
+                        line=node.lineno,
+                        rule="unused/symbol",
+                        symbol=symbol,
+                        message=(
+                            f"public {kind} {symbol} is referenced nowhere in "
+                            f"{', '.join(CALLER_TREES)} outside its definition"
+                        ),
                     )
+                    findings.append(judged(node, finding))
                 elif isinstance(node, ast.ClassDef):
                     visit(node.body, symbol)
 

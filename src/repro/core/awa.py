@@ -45,11 +45,6 @@ class AWAConfig:
         if self.optimizer not in {"adam", "sgd"}:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
-    @property
-    def num_averaged_models(self) -> int:  # repro: noqa[unused/symbol] Algorithm 1's model count
-        """One model is averaged per odd epoch (Algorithm 1, lines 8-10)."""
-        return self.epochs // 2
-
 
 class AWATrainer:
     """Run Algorithm 1 on a pre-trained model.

@@ -353,7 +353,6 @@ def monte_carlo_forecast(
     temperature: float = 1.0,
     batch_size: int = 256,
     rng: Optional[np.random.Generator] = None,
-    vectorized: bool = True,
 ) -> PredictionResult:
     """Monte-Carlo dropout forecast with uncertainty decomposition (Eq. 19).
 
@@ -368,13 +367,9 @@ def monte_carlo_forecast(
         ``sigma^2 / T^2``, which is the scaling implied by the calibration
         likelihood (Eqs. 17-18); Eq. 19b of the paper abbreviates it as a
         ``1/T`` factor.
-    vectorized:
-        ``True`` (default) evaluates all samples in one folded forward pass
-        per chunk; ``False`` runs the sequential per-sample loop.  Both paths
-        draw identical masks for the same ``rng`` and agree to rounding.
     """
     predictor = BatchedPredictor(model, scaler, temperature=temperature, batch_size=batch_size)
-    return predictor.monte_carlo(scaled_inputs, num_samples, rng=rng, vectorized=vectorized)
+    return predictor.monte_carlo(scaled_inputs, num_samples, rng=rng)
 
 
 def ensemble_forecast(

@@ -19,7 +19,6 @@ from repro.evaluation.config import (
 from repro.evaluation.datasets import dataset_statistics, load_benchmark_splits
 from repro.evaluation.point_prediction import (
     POINT_MODEL_NAMES,
-    build_point_model,
     run_point_prediction,
     train_and_evaluate_point_model,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "dataset_statistics",
     "load_benchmark_splits",
     "POINT_MODEL_NAMES",
-    "build_point_model",
     "run_point_prediction",
     "train_and_evaluate_point_model",
     "run_uncertainty_quantification",

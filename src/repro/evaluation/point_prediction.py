@@ -9,7 +9,7 @@ benchmark script.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -19,50 +19,31 @@ from repro.data.datasets import TrafficData
 from repro.evaluation.config import ExperimentScale, make_training_config
 from repro.evaluation.datasets import evaluation_windows, load_benchmark_splits
 from repro.metrics import point_metrics
-from repro.models import AGCRN, ASTGCN, DCRNN, STFGNN, STGCN, STSGCN, GraphWaveNet
-from repro.models.base import ForecastModel
+from repro.models.registry import create_backbone
+from repro.models.stfgnn import temporal_similarity_graph
 
 #: Columns of paper Table III handled by this runner (in paper order).
 POINT_MODEL_NAMES = ("DCRNN", "ST-GCN", "GWN", "ASTGCN", "STSGCN", "STFGNN", "AGCRN")
 
 
-def build_point_model(
-    name: str,
-    num_nodes: int,
-    adjacency: np.ndarray,
-    config: TrainingConfig,
-    rng: Optional[np.random.Generator] = None,
-) -> ForecastModel:
-    """Instantiate one of the Table III baselines with shared dimensions."""
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
-    common = dict(history=config.history, horizon=config.horizon, rng=rng)
-    if name == "DCRNN":
-        return DCRNN(num_nodes, adjacency, hidden_dim=config.hidden_dim, **common)
-    if name == "ST-GCN":
-        return STGCN(num_nodes, adjacency, hidden_channels=config.hidden_dim, **common)
+def _table3_kwargs(name: str, config: TrainingConfig, train_data: TrafficData) -> Dict[str, Any]:
+    """Constructor arguments Table III passes on top of the registry's.
+
+    The registry builds ST-GCN, GWN, ASTGCN, STSGCN and STFGNN at their
+    default widths, so Table III passes its widths explicitly; DCRNN and
+    AGCRN read theirs from the config.  STFGNN's fusion graph adds a
+    temporal-similarity graph built from the training split only.
+    """
     if name == "GWN":
-        return GraphWaveNet(
-            num_nodes, adjacency, channels=config.hidden_dim, embed_dim=config.embed_dim, **common
-        )
-    if name == "ASTGCN":
-        return ASTGCN(num_nodes, adjacency, hidden_channels=config.hidden_dim, **common)
-    if name == "STSGCN":
-        return STSGCN(num_nodes, adjacency, hidden_channels=config.hidden_dim, **common)
+        return {"channels": config.hidden_dim, "embed_dim": config.embed_dim}
     if name == "STFGNN":
-        return STFGNN(num_nodes, adjacency, hidden_channels=config.hidden_dim, **common)
-    if name == "AGCRN":
-        return AGCRN(
-            num_nodes,
-            history=config.history,
-            horizon=config.horizon,
-            hidden_dim=config.hidden_dim,
-            embed_dim=config.embed_dim,
-            encoder_dropout=config.encoder_dropout,
-            decoder_dropout=config.decoder_dropout,
-            heads=("mean",),
-            rng=rng,
-        )
-    raise KeyError(f"unknown point model {name!r}; available: {POINT_MODEL_NAMES}")
+        return {
+            "hidden_channels": config.hidden_dim,
+            "temporal_graph": temporal_similarity_graph(train_data.values),
+        }
+    if name in ("ST-GCN", "ASTGCN", "STSGCN"):
+        return {"hidden_channels": config.hidden_dim}
+    return {}
 
 
 def train_and_evaluate_point_model(
@@ -74,8 +55,14 @@ def train_and_evaluate_point_model(
     scale: ExperimentScale,
 ) -> Dict[str, float]:
     """Train one baseline and return its test MAE / RMSE / MAPE."""
-    adjacency = train_data.network.adjacency_matrix()
-    model = build_point_model(name, train_data.num_nodes, adjacency, config)
+    model = create_backbone(
+        name,
+        train_data.num_nodes,
+        config=config,
+        adjacency=train_data.network.adjacency_matrix(),
+        rng=np.random.default_rng(config.seed),
+        **_table3_kwargs(name, config, train_data),
+    )
     trainer = Trainer(model, config, lambda output, target: point_l1_loss(output, target))
     trainer.fit(train_data)
     inputs, targets = evaluation_windows(test_data, scale)

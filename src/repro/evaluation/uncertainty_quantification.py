@@ -83,19 +83,3 @@ def run_uncertainty_quantification(
             row.update(metrics)
             rows.append(row)
     return rows
-
-
-def best_method_per_dataset(  # repro: noqa[unused/symbol] results-table helper for users
-    rows: Sequence[Dict], metric: str = "MAE", minimize: bool = True
-) -> Dict[str, str]:
-    """Identify the winning method per dataset for a given metric (ignoring NaNs)."""
-    winners: Dict[str, str] = {}
-    for dataset in {row["Dataset"] for row in rows}:
-        candidates = [
-            row for row in rows if row["Dataset"] == dataset and np.isfinite(row.get(metric, float("nan")))
-        ]
-        if not candidates:
-            continue
-        chosen = min(candidates, key=lambda r: r[metric]) if minimize else max(candidates, key=lambda r: r[metric])
-        winners[dataset] = chosen["Method"]
-    return winners

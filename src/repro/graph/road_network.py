@@ -89,7 +89,7 @@ class RoadNetwork:
         graph.add_weighted_edges_from(self._edges)
         return graph
 
-    def is_connected(self) -> bool:  # repro: noqa[unused/symbol] graph query for users
+    def is_connected(self) -> bool:  # repro: noqa[unused/symbol] tests/graph/test_road_network.py
         return nx.is_connected(self.to_networkx())
 
     def neighbors(self, node: int) -> List[int]:
@@ -116,23 +116,3 @@ class RoadNetwork:
 
     def __repr__(self) -> str:
         return f"RoadNetwork(name={self.name!r}, nodes={self.num_nodes}, edges={self.num_edges})"
-
-    # ------------------------------------------------------------------ #
-    # Constructors
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_adjacency(  # repro: noqa[unused/symbol] constructor for real sensor graphs
-        cls, adjacency: np.ndarray, name: str = "road-network"
-    ) -> "RoadNetwork":
-        """Build a network from a dense (symmetric) adjacency matrix."""
-        adjacency = np.asarray(adjacency)
-        if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
-            raise ValueError("adjacency must be a square matrix")
-        num_nodes = adjacency.shape[0]
-        edges = []
-        for u in range(num_nodes):
-            for v in range(u + 1, num_nodes):
-                weight = max(adjacency[u, v], adjacency[v, u])
-                if weight > 0:
-                    edges.append((u, v, float(weight)))
-        return cls(num_nodes, edges, name=name)

@@ -272,8 +272,3 @@ class AGCRN(ForecastModel):
         if len(self.head_names) == 1:
             return outputs[self.head_names[0]]
         return outputs
-
-    # ------------------------------------------------------------------ #
-    def learned_adjacency(self) -> np.ndarray:  # repro: noqa[unused/symbol] view of the adaptive graph
-        """The current learned propagation matrix (for inspection/plots)."""
-        return self.adaptive_adjacency().numpy()

@@ -149,6 +149,7 @@ BACKBONE_INFO: Dict[str, BackboneInfo] = {
 BACKBONE_ALIASES: Dict[str, str] = {
     "GWN": "GWNet",
     "GraphWaveNet": "GWNet",
+    "ST-GCN": "STGCN",
 }
 
 

@@ -19,9 +19,7 @@ from repro.tensor import Tensor
 from repro.tensor import functional as F
 
 
-def temporal_similarity_graph(  # repro: noqa[unused/symbol] STFGNN temporal graph, for users
-    values: np.ndarray, top_k: int = 4
-) -> np.ndarray:
+def temporal_similarity_graph(values: np.ndarray, top_k: int = 4) -> np.ndarray:
     """Data-driven graph connecting sensors with similar historical profiles.
 
     This is a lightweight stand-in for STFGNN's DTW-based temporal graph: the

@@ -59,20 +59,3 @@ def xavier_uniform(
     fan_in, fan_out = _fan_in_fan_out(shape)
     bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
     return _rng(rng).uniform(-bound, bound, size=shape)
-
-
-def xavier_normal(  # repro: noqa[unused/symbol] offered to model code
-    shape: Tuple[int, ...], gain: float = 1.0, rng: Optional[np.random.Generator] = None
-) -> np.ndarray:
-    """Glorot/Xavier normal initialization."""
-    fan_in, fan_out = _fan_in_fan_out(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return _rng(rng).normal(0.0, std, size=shape)
-
-
-def kaiming_normal(  # repro: noqa[unused/symbol] offered to model code
-    shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None
-) -> np.ndarray:
-    """He/Kaiming normal initialization for ReLU-family activations."""
-    fan_in, _ = _fan_in_fan_out(shape)
-    return _rng(rng).normal(0.0, np.sqrt(2.0 / fan_in), size=shape)

@@ -130,10 +130,6 @@ class Module:
         for child in self._modules.values():
             yield from child.modules()
 
-    def num_parameters(self) -> int:  # repro: noqa[unused/symbol] model-size query for users
-        """Total number of scalar weights in the module tree."""
-        return int(sum(p.size for p in self.parameters()))
-
     # ------------------------------------------------------------------ #
     # Training state
     # ------------------------------------------------------------------ #

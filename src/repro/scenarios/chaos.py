@@ -94,7 +94,7 @@ def kill_and_restore(
     return type(fleet).load(directory, server, **load_kwargs)
 
 
-def scheduled_kill_and_restore(  # repro: noqa[unused/symbol] README "Scenario DSL & chaos harness"
+def scheduled_kill_and_restore(  # repro: noqa[unused/symbol] tests/scenarios/test_chaos.py
     directory: Union[str, Path],
     server_factory: Callable[[], Any],
     **load_kwargs: Any,

@@ -381,7 +381,7 @@ _EXTENDED_APPLIERS = {
 }
 
 
-def load_scenario(  # repro: noqa[unused/symbol] README "Scenario DSL & chaos harness"
+def load_scenario(  # repro: noqa[unused/symbol] tests/scenarios/test_dsl.py
     path: Union[str, Path]
 ) -> ScenarioSpec:
     """Load a :class:`ScenarioSpec` from a ``.json`` file (:meth:`ScenarioSpec.save`)."""

@@ -105,7 +105,7 @@ class SharedPredictionCache:
             self._size -= len(space)
             return len(space)
 
-    def namespace_sizes(self) -> Dict[str, int]:  # repro: noqa[unused/symbol] fair-share view
+    def namespace_sizes(self) -> Dict[str, int]:  # repro: noqa[unused/symbol] tests/serving/test_promotion_concurrency.py
         """Current entry count per live namespace (a copy)."""
         with self._lock:
             return {name: len(space) for name, space in self._spaces.items()}

@@ -262,7 +262,7 @@ class InferenceServer:
         return new_default
 
     @classmethod
-    def from_checkpoint(  # repro: noqa[unused/symbol] documented checkpoint boot path
+    def from_checkpoint(  # repro: noqa[unused/symbol] tests/serving/test_checkpoint_swap.py
         cls,
         directory: Union[str, Path],
         model_version: Optional[str] = None,

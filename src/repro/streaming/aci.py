@@ -449,7 +449,7 @@ class AdaptiveConformalCalibrator:
         """
         return conformal_levels([self], native=False)[0]
 
-    def margins(self) -> np.ndarray:  # repro: noqa[unused/symbol] native counterpart of quantiles()
+    def margins(self) -> np.ndarray:  # repro: noqa[unused/symbol] tests/streaming/test_native_bounds.py
         """Current per-horizon *additive* margins ``m_h`` (native-bound mode).
 
         The CQR analogue of :meth:`quantiles`: the finite-sample-corrected
@@ -594,19 +594,18 @@ class AdaptiveConformalCalibrator:
             raise ValueError(
                 f"state has horizon {meta['horizon']}, calibrator expects {self.horizon}"
             )
+        if "native" not in meta:
+            raise ValueError(
+                "ACI state has no 'native' key: it predates native-bound support, "
+                "which this build does not read"
+            )
         self.config = ACIConfig(**meta["config"])
         self.updates = int(meta.get("updates", 0))
         if self.config.interval_mode != "auto":
             self._native = self.config.interval_mode == "native"
-        elif "native" in meta:
+        else:
             native = meta["native"]
             self._native = None if native is None else bool(native)
-        else:
-            # Checkpoint written before native-bound support: every buffered
-            # score is a dimensionless scaled multiplier, so latch scaled when
-            # the buffers are warm — re-latching them as native would misread
-            # the multipliers as additive data-unit margins.
-            self._native = False if int(meta.get("updates", 0)) > 0 else None
         arrays = state["arrays"]
         self.alpha_t = np.asarray(arrays["aci.alpha_t"], dtype=np.float64).copy()
         self._scores = np.asarray(arrays["aci.scores"], dtype=np.float64).copy()

@@ -342,7 +342,7 @@ class EventLog:
         )
         return event
 
-    def of_kind(self, kind: str) -> List[DriftEvent]:  # repro: noqa[unused/symbol] for tests
+    def of_kind(self, kind: str) -> List[DriftEvent]:  # repro: noqa[unused/symbol] tests/streaming/test_runner.py
         return [event for event in self.events if event.kind == kind]
 
     def to_records(self) -> List[Dict[str, Any]]:

@@ -211,10 +211,6 @@ class StreamingForecaster:
     def monitor(self) -> StreamingMonitor:
         return self.core.monitor
 
-    @monitor.setter
-    def monitor(self, monitor: StreamingMonitor) -> None:
-        self.core.monitor = monitor
-
     @property
     def detectors(self) -> List[Any]:
         return self.core.detectors
@@ -222,10 +218,6 @@ class StreamingForecaster:
     @property
     def event_log(self) -> EventLog:
         return self.core.event_log
-
-    @event_log.setter
-    def event_log(self, log: EventLog) -> None:
-        self.core.event_log = log
 
     @property
     def refit_window(self) -> int:
@@ -523,11 +515,10 @@ class StreamingForecaster:
     ACI_SUBDIR = "aci"
     STREAM_SUBDIR = "stream"
 
-    #: On-disk format revision of the runner-state checkpoint.  Version 3
-    #: stores the refit coordinator's state (cooldown clock, refit count,
-    #: partial quorum); version 2 stored the full :class:`StreamCore` state
-    #: with the cooldown clock and refit count as two flat keys; version 1
-    #: held monitor + events only.  All three are readable.
+    #: On-disk format revision of the runner-state checkpoint: the full
+    #: :class:`StreamCore` state plus the refit coordinator's state (cooldown
+    #: clock, refit count, partial quorum).  :meth:`load` reads this version
+    #: only; the older versions 1 and 2 are rejected.
     STREAM_FORMAT_VERSION = 3
 
     def save(self, directory: Union[str, Path]) -> Path:
@@ -581,9 +572,10 @@ class StreamingForecaster:
         """Rebuild a streaming forecaster from a :meth:`save` directory.
 
         ``forecaster`` overrides (or substitutes, for non-checkpointable
-        predictors) the stored model checkpoint.  Monitor state and the
-        event log are restored when present (checkpoints written before the
-        runner-state format simply start with fresh monitors).
+        predictors) the stored model checkpoint.  The stream state (core and
+        refit coordinator) is restored when the directory holds it, and must
+        be :attr:`STREAM_FORMAT_VERSION`; a directory without it (the
+        calibrator and the model only) starts with fresh monitors.
         """
         directory = Path(directory)
         calibrator = AdaptiveConformalCalibrator.load(directory / cls.ACI_SUBDIR)
@@ -603,34 +595,15 @@ class StreamingForecaster:
 
             meta, arrays = load_checkpoint(stream_dir)
             version = meta.get("format_version")
-            if version not in (1, 2, cls.STREAM_FORMAT_VERSION):
+            if version != cls.STREAM_FORMAT_VERSION:
                 raise ValueError(
                     f"unsupported stream checkpoint format {version!r} "
-                    f"(this build reads versions 1-{cls.STREAM_FORMAT_VERSION})"
+                    f"(this build reads version {cls.STREAM_FORMAT_VERSION})"
                 )
-            if version >= 2:
-                # The core state embeds everything: calibration, monitor,
-                # detectors, event log, step and the warm ledgers.
-                runner.core.set_state({"meta": meta["core"], "arrays": arrays})
-            else:
-                monitor_meta = meta["monitor"]
-                if runner.monitor.window != int(monitor_meta["window"]):
-                    runner.monitor = StreamingMonitor(
-                        window=int(monitor_meta["window"]),
-                        significance=float(monitor_meta["significance"]),
-                    )
-                runner.monitor.set_state({"meta": monitor_meta, "arrays": arrays})
-                runner.event_log = EventLog.from_records(meta["events"])
-                runner.core._step = int(meta["step"])
-            if version >= 3:
-                coordinator_state = meta["coordinator"]
-            else:
-                last = meta["last_trigger"]
-                coordinator_state = {
-                    "refit_count": int(meta["refit_count"]),
-                    "last_trigger": {} if last is None else {cls.REGION: int(last)},
-                }
-            runner.coordinator.set_state(coordinator_state)
+            # The core state embeds everything: calibration, monitor,
+            # detectors, event log, step and the warm ledgers.
+            runner.core.set_state({"meta": meta["core"], "arrays": arrays})
+            runner.coordinator.set_state(meta["coordinator"])
         return runner
 
     def __repr__(self) -> str:

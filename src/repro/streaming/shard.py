@@ -94,8 +94,7 @@ from repro.streaming.monitor import StreamingMonitor, update_monitors
 
 #: On-disk format revision of :meth:`StreamCore.get_state`.  Version 2 added
 #: the drift-detector state and the history / pending / recent ledgers;
-#: version 1 checkpoints are still readable (detectors and ledgers restore
-#: empty, the pre-fix behaviour).
+#: :meth:`StreamCore.set_state` reads version 2 only.
 STREAM_CORE_FORMAT_VERSION = 2
 
 #: Fields every pending-ledger entry serializes as ``pending.<i>.<field>``.
@@ -407,9 +406,8 @@ class StreamCore:
     def set_state(self, state: Dict[str, Any]) -> "StreamCore":
         """Restore a :meth:`get_state` snapshot (bit-identical round trip).
 
-        Version-1 snapshots (pre detector/ledger checkpointing) restore what
-        they carry — calibration, monitor, events, step — and leave the
-        detectors and ledgers as freshly constructed.
+        Only :data:`STREAM_CORE_FORMAT_VERSION` snapshots are read; any
+        other version raises ``ValueError``.
         """
         meta = state["meta"]
         if meta.get("kind") != "stream_core":
@@ -417,17 +415,15 @@ class StreamCore:
                 f"state was saved by {meta.get('kind')!r}, not a stream core"
             )
         version = meta.get("format_version")
-        if version not in (1, STREAM_CORE_FORMAT_VERSION):
+        if version != STREAM_CORE_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported stream-core state format {version!r} "
-                f"(this build reads versions 1-{STREAM_CORE_FORMAT_VERSION})"
+                f"(this build reads version {STREAM_CORE_FORMAT_VERSION})"
             )
         arrays = state["arrays"]
         with self._lock:
-            refit_window = int(meta.get("refit_window", self.refit_window))
-            if refit_window != self.refit_window:
-                self.refit_window = refit_window
-                self._recent = deque(self._recent, maxlen=refit_window)
+            # _restore_ledgers rebuilds the recent deque at this length.
+            self.refit_window = int(meta["refit_window"])
             self.calibrator.set_state({"meta": meta["aci"], "arrays": arrays})
             monitor_meta = meta["monitor"]
             if self.monitor.window != int(monitor_meta["window"]):
@@ -438,9 +434,8 @@ class StreamCore:
             self.monitor.set_state({"meta": monitor_meta, "arrays": arrays})
             self.event_log = EventLog.from_records(meta["events"])
             self._step = int(meta["step"])
-            if version >= 2:
-                self._restore_detectors(meta["detectors"], arrays)
-                self._restore_ledgers(meta["pending"], arrays)
+            self._restore_detectors(meta["detectors"], arrays)
+            self._restore_ledgers(meta["pending"], arrays)
         return self
 
     def _restore_detectors(
@@ -472,7 +467,7 @@ class StreamCore:
     def _restore_ledgers(
         self, pending_meta: List[Dict[str, Any]], arrays: Dict[str, Any]
     ) -> None:
-        """Rebuild the history / pending / recent deques from a v2 snapshot."""
+        """Rebuild the history / pending / recent deques from a snapshot."""
         history = np.asarray(arrays["core.history"], dtype=np.float64)
         self._history = deque(
             (row.copy() for row in history), maxlen=self.history

@@ -56,12 +56,6 @@ def relu(x: ArrayLike) -> Tensor:
     return _as_tensor(x).relu()
 
 
-def leaky_relu(  # repro: noqa[unused/symbol] op offered to model code
-    x: ArrayLike, negative_slope: float = 0.01
-) -> Tensor:
-    return _as_tensor(x).leaky_relu(negative_slope)
-
-
 def clip(x: ArrayLike, low: Optional[float] = None, high: Optional[float] = None) -> Tensor:
     return _as_tensor(x).clip(low, high)
 
@@ -158,12 +152,6 @@ def softmax(x: ArrayLike, axis: int = -1) -> Tensor:
     return exps / exps.sum(axis=axis, keepdims=True)
 
 
-def log_softmax(x: ArrayLike, axis: int = -1) -> Tensor:  # repro: noqa[unused/symbol] op offered to model code
-    x = _as_tensor(x)
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
-
-
 def dropout_mask(
     shape: Tuple[int, ...],
     rate: float,
@@ -207,25 +195,13 @@ def l1_loss(prediction: ArrayLike, target: ArrayLike, reduce: bool = True) -> Te
     return loss.mean() if reduce else loss
 
 
-def mse_loss(  # repro: noqa[unused/symbol] op offered to model code
+def mse_loss(  # repro: noqa[unused/symbol] tests/optim/test_optimizers.py
     prediction: ArrayLike, target: ArrayLike, reduce: bool = True
 ) -> Tensor:
     prediction, target = _as_tensor(prediction), _as_tensor(target)
     diff = prediction - target
     loss = diff * diff
     return loss.mean() if reduce else loss
-
-
-def huber_loss(  # repro: noqa[unused/symbol] op offered to model code
-    prediction: ArrayLike, target: ArrayLike, delta: float = 1.0
-) -> Tensor:
-    """Huber loss used by several point-prediction baselines."""
-    prediction, target = _as_tensor(prediction), _as_tensor(target)
-    diff = prediction - target
-    abs_diff = diff.abs()
-    quadratic = 0.5 * diff * diff
-    linear = delta * abs_diff - 0.5 * delta * delta
-    return where(abs_diff.data <= delta, quadratic, linear).mean()
 
 
 def pinball_loss(prediction: ArrayLike, target: ArrayLike, quantile: float) -> Tensor:

@@ -355,16 +355,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        mask = self.data > 0
-        scale = np.where(mask, 1.0, negative_slope)
-        out_data = self.data * scale
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * scale)
-
-        return Tensor._make(out_data, (self,), backward)
-
     def clip(self, low: Optional[float] = None, high: Optional[float] = None) -> "Tensor":
         out_data = np.clip(self.data, low, high)
         mask = np.ones_like(self.data)

@@ -43,12 +43,7 @@ class Combined(UQMethod):
         self.fitted = True
         return self
 
-    def predict(
-        self,
-        histories: np.ndarray,
-        num_samples: Optional[int] = None,
-        vectorized: bool = True,
-    ) -> PredictionResult:
+    def predict(self, histories: np.ndarray, num_samples: Optional[int] = None) -> PredictionResult:
         self._check_fitted()
         samples = num_samples if num_samples is not None else self.config.mc_samples
         return monte_carlo_forecast(
@@ -57,5 +52,4 @@ class Combined(UQMethod):
             self.scaler,
             num_samples=samples,
             rng=np.random.default_rng(self.config.seed + 11),
-            vectorized=vectorized,
         )

@@ -14,7 +14,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.core.inference import PredictionResult, deterministic_forecast, ensemble_forecast
+from repro.core.inference import PredictionResult, ensemble_forecast
 from repro.core.losses import combined_loss
 from repro.core.trainer import Trainer
 from repro.data.datasets import TrafficData
@@ -79,22 +79,6 @@ class DeepEnsemble(UQMethod):
             self.members.append(member)
         return self
 
-    def predict(self, histories: np.ndarray, vectorized: bool = True) -> PredictionResult:
+    def predict(self, histories: np.ndarray) -> PredictionResult:
         self._check_fitted()
-        scaled = self._scale_inputs(histories)
-        if vectorized:
-            return ensemble_forecast(self.members, scaled, self.scaler)
-        # Reference path: explicit per-member accumulation of the mixture moments.
-        means, variances = [], []
-        for model in self.members:
-            result = deterministic_forecast(model, scaled, self.scaler)
-            means.append(result.mean)
-            variances.append(result.aleatoric_var)
-        stacked_means = np.stack(means, axis=0)
-        mean = stacked_means.mean(axis=0)
-        aleatoric = np.stack(variances, axis=0).mean(axis=0)
-        if len(self.members) > 1:
-            epistemic = stacked_means.var(axis=0, ddof=1)
-        else:
-            epistemic = np.zeros_like(mean)
-        return PredictionResult(mean=mean, aleatoric_var=aleatoric, epistemic_var=epistemic)
+        return ensemble_forecast(self.members, self._scale_inputs(histories), self.scaler)

@@ -130,7 +130,6 @@ class DeepSTUQ(UQMethod):
         histories: np.ndarray,
         num_samples: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
-        vectorized: bool = True,
     ) -> PredictionResult:
         """Probabilistic forecast for raw (unscaled) history windows.
 
@@ -145,9 +144,6 @@ class DeepSTUQ(UQMethod):
         rng:
             Generator of the dropout masks (defaults to one seeded from the
             configured seed, so repeated calls agree).
-        vectorized:
-            Evaluate all MC samples in one folded forward pass (default) or
-            loop over them; the results are identical for the same seed.
         """
         self._check_fitted()
         samples = num_samples if num_samples is not None else self.config.mc_samples
@@ -158,7 +154,6 @@ class DeepSTUQ(UQMethod):
             num_samples=samples,
             temperature=self.calibrator.temperature,
             rng=rng if rng is not None else np.random.default_rng(self.config.seed + 2),
-            vectorized=vectorized,
         )
 
     def predict_single_pass(self, histories: np.ndarray) -> PredictionResult:

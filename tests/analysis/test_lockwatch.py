@@ -158,6 +158,29 @@ class TestIntegration:
         assert threading.Lock is original_lock
         assert threading.RLock is original_rlock
 
+    @pytest.mark.parametrize(
+        "kind, steps, expected",
+        [
+            ("Lock", ["acquire", "release"], [False, True, False]),
+            ("RLock", ["acquire", "acquire", "release", "release"], [False, True, True, True, False]),
+        ],
+    )
+    def test_locked_tracks_acquire_and_release_like_the_plain_lock(self, kind, steps, expected):
+        plain = getattr(threading, kind)()
+        # A plain RLock has no locked() before Python 3.14; on the owning
+        # thread _is_owned() gives the same answer.
+        plain_locked = getattr(plain, "locked", None) or plain._is_owned
+        with lockwatch.watching():
+            watched = getattr(threading, kind)()
+            assert isinstance(watched, lockwatch.TrackedLock)
+            watched_states, plain_states = [watched.locked()], [plain_locked()]
+            for step in steps:
+                getattr(watched, step)()
+                getattr(plain, step)()
+                watched_states.append(watched.locked())
+                plain_states.append(plain_locked())
+        assert watched_states == plain_states == expected
+
     def test_stats_count_tracked_locks_and_edges(self):
         with lockwatch.watching() as watch:
             lock_a = threading.Lock()

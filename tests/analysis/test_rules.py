@@ -767,15 +767,104 @@ class TestUnused:
         findings, suppressed = run_unused(
             tmp_path,
             """
-            def kept():  # repro: noqa[unused/symbol] documented user entry point
+            def kept():  # repro: noqa[unused/symbol] tests/test_kept.py
                 return 1
 
             def dropped():
                 return 2
             """,
+            {"tests/test_kept.py": "from repro.pkg.mod import kept\nkept()\n"},
         )
         assert findings == ["dropped"]
         assert suppressed == ["kept"]
+
+    def test_a_reason_must_name_a_file_that_uses_the_symbol(self, tmp_path):
+        findings, suppressed = run_unused(
+            tmp_path,
+            """
+            def kept():  # repro: noqa[unused/symbol] reference for tests/test_kept.py
+                return 1
+
+            def misnamed():  # repro: noqa[unused/symbol] reference for tests/test_kept.py
+                return 2
+            """,
+            {"tests/test_kept.py": "from repro.pkg.mod import kept\nassert kept() == 1\n"},
+        )
+        assert findings == ["misnamed"]
+        assert suppressed == ["kept"]
+
+    def test_a_reason_naming_a_directory_holds_if_a_file_under_it_uses_the_symbol(self, tmp_path):
+        findings, suppressed = run_unused(
+            tmp_path,
+            """
+            def kept():  # repro: noqa[unused/symbol] instrument tests/suite drives
+                return 1
+
+            def elsewhere():  # repro: noqa[unused/symbol] instrument tests/other/ drives
+                return 2
+            """,
+            {
+                "tests/suite/deep/test_kept.py": "from repro.pkg import mod\nmod.kept()\n",
+                "tests/other/test_other.py": "from repro.pkg.mod import kept\nkept()\n",
+            },
+        )
+        assert findings == ["elsewhere"]
+        assert suppressed == ["kept"]
+
+    @pytest.mark.parametrize(
+        "reason",
+        [
+            "documented user entry point",
+            "tests/test_missing.py",
+            "tests/missing/",
+            "../outside/test_kept.py",
+        ],
+    )
+    def test_a_reason_naming_no_existing_path_leaves_the_finding(self, tmp_path, reason):
+        (tmp_path / "outside").mkdir()
+        (tmp_path / "outside" / "test_kept.py").write_text("kept()\n")
+        findings, suppressed = run_unused(
+            tmp_path / "repo",
+            f"""
+            def kept():  # repro: noqa[unused/symbol] {reason}
+                return 1
+            """,
+            # A test does use it, but the reason does not name that file.
+            {"tests/test_kept.py": "from repro.pkg.mod import kept\nkept()\n"},
+        )
+        assert findings == ["kept"]
+        assert suppressed == []
+
+    def test_a_file_naming_the_symbol_only_in_comments_or_strings_is_no_reason(self, tmp_path):
+        findings, suppressed = run_unused(
+            tmp_path,
+            """
+            def kept():  # repro: noqa[unused/symbol] tests/test_kept.py
+                return 1
+            """,
+            {
+                "tests/test_kept.py": (
+                    "# kept() is what this file is about\n"
+                    "NAME = 'kept'\n"
+                    '"""kept() once more, in a docstring."""\n'
+                ),
+            },
+        )
+        assert findings == ["kept"]
+        assert suppressed == []
+
+    def test_a_pragma_cannot_silence_its_own_failed_reason(self, tmp_path):
+        findings, suppressed = run_unused(
+            tmp_path,
+            """
+            def kept():  # repro: noqa[unused/symbol, unused, *] for users
+                return 1
+            """,
+        )
+        assert findings == ["kept"]
+        assert suppressed == []
+        (finding,) = analyze_paths(["src"], root=tmp_path, rules=["unused"]).findings
+        assert "names no .py file or directory that uses kept" in finding.message
 
     def test_modules_outside_src_are_not_checked(self, tmp_path):
         (tmp_path / "src").mkdir()

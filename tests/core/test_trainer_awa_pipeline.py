@@ -117,7 +117,6 @@ class TestAWA:
             AWAConfig(epochs=1)
         with pytest.raises(ValueError):
             AWAConfig(optimizer="rmsprop")
-        assert AWAConfig(epochs=20).num_averaged_models == 10
 
     def test_awa_retraining_runs_and_averages(self):
         traffic = _traffic()

@@ -18,14 +18,14 @@ from repro.evaluation import (
 )
 from repro.evaluation.config import SCALES, ExperimentScale
 from repro.evaluation.datasets import evaluation_windows, load_benchmark_splits
-from repro.evaluation.point_prediction import POINT_MODEL_NAMES, build_point_model
+from repro.evaluation.point_prediction import POINT_MODEL_NAMES
 from repro.evaluation.uncertainty_quantification import (
-    best_method_per_dataset,
     evaluate_uq_method,
     run_uncertainty_quantification,
 )
 from repro.core.inference import PredictionResult
 from repro.graph import grid_network
+from repro.models.registry import create_backbone
 from repro.metrics import Z_95
 
 
@@ -92,16 +92,16 @@ class TestDatasetsHelpers:
 
 
 class TestPointPredictionRunner:
-    def test_build_point_model_all_names(self):
+    def test_every_table3_name_builds_through_the_registry(self):
         network = grid_network(3, 3)
         config = make_training_config(TINY, "PEMS08")
         for name in POINT_MODEL_NAMES:
-            model = build_point_model(name, 9, network.adjacency_matrix(), config)
+            model = create_backbone(name, 9, config=config, adjacency=network.adjacency_matrix())
             assert model.horizon == TINY.horizon
 
-    def test_build_point_model_unknown(self):
+    def test_unknown_table3_name_raises_key_error(self):
         with pytest.raises(KeyError):
-            build_point_model("NotAModel", 9, np.eye(9), make_training_config(TINY))
+            create_backbone("NotAModel", 9, config=make_training_config(TINY), adjacency=np.eye(9))
 
     def test_run_point_prediction_single_model(self):
         rows = run_point_prediction(TINY, datasets=("PEMS08",), model_names=("AGCRN",))
@@ -142,15 +142,6 @@ class TestUncertaintyRunner:
         metrics = evaluate_uq_method(SkewedBounds(), np.zeros((4, 6, 2)), np.full((4, 3, 2), 2.0))
         assert metrics["PICP"] == 100.0
         assert metrics["MPIW"] == pytest.approx(2.0)
-
-    def test_best_method_per_dataset(self):
-        rows = [
-            {"Dataset": "D", "Method": "A", "MAE": 2.0},
-            {"Dataset": "D", "Method": "B", "MAE": 1.0},
-            {"Dataset": "D", "Method": "C", "MAE": float("nan")},
-        ]
-        assert best_method_per_dataset(rows, metric="MAE") == {"D": "B"}
-        assert best_method_per_dataset(rows, metric="MAE", minimize=False) == {"D": "A"}
 
 
 class TestFormatting:

@@ -64,16 +64,6 @@ class TestRoadNetwork:
         net = RoadNetwork(3, [(0, 1)])
         assert np.isinf(net.shortest_path_hops()[0, 2])
 
-    def test_from_adjacency_roundtrip(self):
-        original = RoadNetwork(4, [(0, 1), (1, 2, 3.0), (2, 3)])
-        rebuilt = RoadNetwork.from_adjacency(original.adjacency_matrix())
-        assert rebuilt.num_edges == original.num_edges
-        assert np.allclose(rebuilt.adjacency_matrix(), original.adjacency_matrix())
-
-    def test_from_adjacency_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            RoadNetwork.from_adjacency(np.ones((2, 3)))
-
     def test_to_networkx(self):
         net = RoadNetwork(3, [(0, 1), (1, 2)])
         g = net.to_networkx()

@@ -118,7 +118,7 @@ class TestNaiveBaselines:
         assert np.allclose(out, np.repeat(x.mean(axis=1, keepdims=True), HORIZON, axis=1))
 
     def test_no_parameters(self):
-        assert LastValue(NUM_NODES, HISTORY, HORIZON).num_parameters() == 0
+        assert list(LastValue(NUM_NODES, HISTORY, HORIZON).parameters()) == []
 
 
 class TestAGCRN:
@@ -205,7 +205,7 @@ class TestAGCRN:
         np.testing.assert_array_equal(a, b)
 
     def test_learned_adjacency_is_stochastic_matrix(self):
-        adjacency = self._model().learned_adjacency()
+        adjacency = self._model().adaptive_adjacency().numpy()
         assert adjacency.shape == (NUM_NODES, NUM_NODES)
         assert np.allclose(adjacency.sum(axis=1), 1.0)
 

@@ -26,10 +26,6 @@ class TestModule:
         assert "fc1.weight" in names and "fc2.bias" in names
         assert len(net.parameters()) == 4
 
-    def test_num_parameters(self):
-        net = TinyNet()
-        assert net.num_parameters() == 4 * 8 + 8 + 8 * 2 + 2
-
     def test_train_eval_recursive(self):
         net = TinyNet()
         net.eval()
@@ -183,14 +179,6 @@ class TestInit:
         w = init.xavier_uniform((100, 100), rng=np.random.default_rng(0))
         bound = np.sqrt(6.0 / 200)
         assert np.all(np.abs(w) <= bound)
-
-    def test_xavier_normal_std(self):
-        w = init.xavier_normal((200, 200), rng=np.random.default_rng(0))
-        assert abs(w.std() - np.sqrt(2.0 / 400)) < 5e-4
-
-    def test_kaiming_normal_std(self):
-        w = init.kaiming_normal((300, 50), rng=np.random.default_rng(0))
-        assert abs(w.std() - np.sqrt(2.0 / 300)) < 2e-3
 
     def test_zeros_and_ones(self):
         assert np.all(init.ones((3, 3)) == 1.0)

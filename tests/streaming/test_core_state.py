@@ -193,7 +193,9 @@ class TestStreamCoreStateV2:
         # The restored core is warm: it predicts without re-warming.
         assert restored.warmed_up
 
-    def test_v1_snapshot_loads_with_fresh_detectors_and_ledgers(self):
+    def test_v1_snapshot_is_rejected(self):
+        """Version 1 held no detector or ledger state; this build reads
+        version 2 only."""
         model = PersistenceForecaster(horizon=HORIZON, sigma=5.0)
         source = _make_core()
         _drive(source, _rows(60, seed=7), model)
@@ -211,14 +213,8 @@ class TestStreamCoreStateV2:
             if not key.startswith(("detector.", "pending.", "core."))
         }
 
-        restored = _make_core().set_state({"meta": v1_meta, "arrays": v1_arrays})
-        # What v1 carried is back...
-        assert restored.step == source.step
-        assert restored.event_log.to_records() == source.event_log.to_records()
-        assert restored.monitor.get_state()["meta"] == source.monitor.get_state()["meta"]
-        # ...and what it never carried restores fresh, not corrupt.
-        assert not restored.warmed_up
-        assert float(restored.detectors[1].get_state()["arrays"]["statistic"]) == 0.0
+        with pytest.raises(ValueError, match="unsupported stream-core state format 1"):
+            _make_core().set_state({"meta": v1_meta, "arrays": v1_arrays})
 
     def test_unknown_format_version_is_rejected(self):
         state = _make_core().get_state()

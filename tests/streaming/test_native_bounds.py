@@ -204,10 +204,9 @@ class TestCheckpointRoundTrip:
         restored = AdaptiveConformalCalibrator.load(tmp_path / "aci")
         assert restored._native is None
 
-    def test_pre_native_checkpoint_with_warm_buffers_latches_scaled(self):
+    def test_pre_native_checkpoint_with_warm_buffers_is_rejected(self):
         """A checkpoint written before native-bound support holds scaled
-        multiplier scores; restoring must never re-latch them as native
-        (they would be misread as additive data-unit margins)."""
+        multiplier scores and no latch; this build does not read it."""
         calibrator = AdaptiveConformalCalibrator(
             HORIZON, config=ACIConfig(min_scores=5, mode="rolling")
         )
@@ -215,27 +214,19 @@ class TestCheckpointRoundTrip:
             for h in range(HORIZON):
                 calibrator.update(h, np.full(4, 2.0))
         state = calibrator.get_state()
-        # emulate the pre-PR5 writer: no latch, no interval_mode knob
+        # emulate the old writer: no latch, no interval_mode knob
         del state["meta"]["native"]
         del state["meta"]["config"]["interval_mode"]
-        restored = AdaptiveConformalCalibrator(HORIZON).set_state(state)
-        assert restored._native is False
-        # a native-bounds result arriving post-restore stays on the scaled path
-        result = _bounded_result(np.zeros((1, HORIZON, NODES)), 1.0, 4.0)
-        assert not restored.uses_native(result)
-        lower, upper = restored.intervals(result)
-        np.testing.assert_allclose(
-            (upper - lower) / 2.0,
-            restored.quantiles().reshape(1, -1, 1) * restored._scale(result),
-        )
+        with pytest.raises(ValueError, match="no 'native' key"):
+            AdaptiveConformalCalibrator(HORIZON).set_state(state)
 
-    def test_pre_native_checkpoint_with_fresh_buffers_stays_auto(self):
+    def test_pre_native_checkpoint_with_fresh_buffers_is_rejected(self):
         calibrator = AdaptiveConformalCalibrator(HORIZON)
         state = calibrator.get_state()
         del state["meta"]["native"]
         del state["meta"]["config"]["interval_mode"]
-        restored = AdaptiveConformalCalibrator(HORIZON).set_state(state)
-        assert restored._native is None
+        with pytest.raises(ValueError, match="no 'native' key"):
+            AdaptiveConformalCalibrator(HORIZON).set_state(state)
 
 
 class _AsymmetricPredictor:

@@ -220,11 +220,11 @@ class TestRunnerCoordinatorState:
             restored.observe(row)
         assert self._starts(restored) == self._uninterrupted_starts(rows)
 
-    def test_checkpoints_with_flat_cooldown_keys_still_load(self, tmp_path):
+    def test_checkpoints_with_flat_cooldown_keys_are_rejected(self, tmp_path):
         """Format-2 stream checkpoints kept the cooldown clock and refit
-        count as flat ``last_trigger`` / ``refit_count`` keys."""
-        rows = self._rows()
-        _, directory = self._checkpoint(tmp_path, rows)
+        count as flat ``last_trigger`` / ``refit_count`` keys; this build
+        reads format 3 only."""
+        _, directory = self._checkpoint(tmp_path, self._rows())
         from repro.utils.serialization import load_checkpoint, save_checkpoint
 
         stream_dir = directory / StreamingForecaster.STREAM_SUBDIR
@@ -233,14 +233,5 @@ class TestRunnerCoordinatorState:
         meta.update(format_version=2, last_trigger=3, refit_count=1)
         save_checkpoint(stream_dir, meta, arrays)
 
-        restored = self._runner(load_from=directory)
-        state = restored.coordinator.get_state()
-        assert state["last_trigger"] == {"stream": 3}
-        assert state["refit_count"] == 1
-        # No retrigger inside the restored cooldown, despite a detector
-        # that fires on every step.
-        for row in rows[self.SAVE_AT:]:
-            restored.observe(row)
-        assert self._starts(restored) == self._uninterrupted_starts(rows)
-        # The next candidate continues the restored count.
-        assert restored.coordinator.get_state()["refit_count"] == 2
+        with pytest.raises(ValueError, match="unsupported stream checkpoint format 2"):
+            self._runner(load_from=directory)

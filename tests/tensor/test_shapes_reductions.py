@@ -193,10 +193,6 @@ class TestCatStackSoftmax:
         out = F.softmax(x).numpy()
         assert np.allclose(out, np.ones(3) / 3.0)
 
-    def test_log_softmax_matches_log_of_softmax(self):
-        x = Tensor(np.random.default_rng(1).normal(size=(5,)))
-        assert np.allclose(F.log_softmax(x).numpy(), np.log(F.softmax(x).numpy()))
-
 
 class TestLossHelpers:
     def test_mse_loss(self):
@@ -223,16 +219,6 @@ class TestLossHelpers:
         good = heteroscedastic_gaussian_loss(Tensor([0.0]), Tensor([0.0]), target).item()
         bad = heteroscedastic_gaussian_loss(Tensor([3.0]), Tensor([0.0]), target).item()
         assert bad > good
-
-    def test_huber_quadratic_region(self):
-        pred = Tensor([0.5], requires_grad=True)
-        target = Tensor([0.0])
-        assert np.allclose(F.huber_loss(pred, target, delta=1.0).item(), 0.125)
-
-    def test_huber_linear_region(self):
-        pred = Tensor([3.0])
-        target = Tensor([0.0])
-        assert np.allclose(F.huber_loss(pred, target, delta=1.0).item(), 2.5)
 
     def test_pinball_loss_asymmetry(self):
         target = Tensor([1.0])

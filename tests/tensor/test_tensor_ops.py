@@ -138,11 +138,6 @@ class TestElementwiseFunctions:
         a.relu().sum().backward()
         assert np.allclose(a.grad, [0.0, 0.0, 1.0])
 
-    def test_leaky_relu(self):
-        a = Tensor([-2.0, 3.0], requires_grad=True)
-        a.leaky_relu(0.1).sum().backward()
-        assert np.allclose(a.grad, [0.1, 1.0])
-
     def test_clip_gradient_masked(self):
         a = Tensor([-2.0, 0.5, 3.0], requires_grad=True)
         a.clip(0.0, 1.0).sum().backward()

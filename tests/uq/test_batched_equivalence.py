@@ -1,15 +1,15 @@
 """Batched MC inference must match the sequential loop.
 
 For every method in ``uq/registry.py`` the vectorized (sample-folded) path
-and the looped reference path are run with the same seed and compared to
-1e-10 on all three :class:`PredictionResult` arrays.  The masks are
-bit-identical; the graph convolution's per-node GEMM may round a one-row
-looped chunk differently in the last bit.  Methods without MC
-sampling are covered too: their predictions must be deterministic across
-repeated calls, which is what keeps the serving cache coherent.
+and the looped reference path (``BatchedPredictor._looped_forward``
+patched in for ``_folded_forward``) are run with the same seed and
+compared to 1e-10 on all three :class:`PredictionResult` arrays.  The
+masks are bit-identical; the graph convolution's per-node GEMM may round a
+one-row looped chunk differently in the last bit.  Methods without MC
+sampling are covered too: the patch leaves them alone, so the check is
+that their predictions are deterministic across repeated calls, which is
+what keeps the serving cache coherent.
 """
-
-import inspect
 
 import numpy as np
 import pytest
@@ -84,14 +84,11 @@ class TestRegistryEquivalence:
         "Point", "Quantile", "MVE", "MCDO", "Combined", "TS", "FGE", "Conformal",
         "CFRNN", "DeepSTUQ", "DeepEnsemble",
     ])
-    def test_batched_matches_sequential(self, name, fitted_methods, test_windows):
+    def test_batched_matches_sequential(self, name, fitted_methods, test_windows, monkeypatch):
         method = fitted_methods[name]
         batched = method.predict(test_windows)
-        if "vectorized" in inspect.signature(method.predict).parameters:
-            sequential = method.predict(test_windows, vectorized=False)
-        else:
-            # No sampling axis to fold: the contract is plain determinism.
-            sequential = method.predict(test_windows)
+        monkeypatch.setattr(BatchedPredictor, "_folded_forward", BatchedPredictor._looped_forward)
+        sequential = method.predict(test_windows)
         _assert_results_equal(batched, sequential)
 
 
@@ -116,14 +113,12 @@ class TestEngineEquivalence:
         self, model_scaler_inputs, batch_size, num_samples
     ):
         model, scaler, inputs = model_scaler_inputs
-        kwargs = dict(num_samples=num_samples, batch_size=batch_size, temperature=1.3)
-        a = monte_carlo_forecast(
-            model, inputs, scaler, rng=np.random.default_rng(9), vectorized=True, **kwargs
+        predictor = BatchedPredictor(model, scaler, temperature=1.3, batch_size=batch_size)
+        folded = predictor.monte_carlo(inputs, num_samples, rng=np.random.default_rng(9))
+        looped = predictor.monte_carlo(
+            inputs, num_samples, rng=np.random.default_rng(9), vectorized=False
         )
-        b = monte_carlo_forecast(
-            model, inputs, scaler, rng=np.random.default_rng(9), vectorized=False, **kwargs
-        )
-        _assert_results_equal(a, b)
+        _assert_results_equal(folded, looped)
 
     def test_single_sample_has_finite_zero_epistemic(self, model_scaler_inputs):
         model, scaler, inputs = model_scaler_inputs

@@ -10,7 +10,6 @@ bit for bit.  They are deterministic: the threads meet at Events, never at a
 sleep or a timing threshold.
 """
 
-import inspect
 import threading
 
 import numpy as np
@@ -18,6 +17,7 @@ import pytest
 
 from repro.core import TrainingConfig
 from repro.core.awa import AWAConfig
+from repro.core.inference import BatchedPredictor
 from repro.data import SlidingWindowDataset, TrafficData, generate_traffic, train_val_test_split
 from repro.graph import grid_network
 from repro.models.agcrn import AGCRN, _CellKernel
@@ -140,13 +140,14 @@ def test_predict_is_reentrant(fitted, name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", available_methods())
-def test_predict_writes_no_module_state(fitted, name, module_state_of):
+def test_predict_writes_no_module_state(fitted, name, module_state_of, monkeypatch):
     methods, first, _ = fitted
     method = methods[name]
     models = _models(method)
     assert models
     before = module_state_of(*models)
     method.predict(first)
-    if "vectorized" in inspect.signature(method.predict).parameters:
-        method.predict(first, vectorized=False)
+    # The looped reference path, for methods that sample.
+    monkeypatch.setattr(BatchedPredictor, "_folded_forward", BatchedPredictor._looped_forward)
+    method.predict(first)
     assert module_state_of(*models) == before
